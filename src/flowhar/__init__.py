@@ -23,7 +23,7 @@ from .dataset import (
     segment_windows,
 )
 from .globalview import mc_transform, rotation_from_quaternion, transform_sample
-from .harness import ExperimentConfig, emit_report, run_baseline, run_louo
+from .harness import ExperimentConfig, emit_report, run_louo
 from .metrics import accuracy, confusion, weighted_f1
 from .model import Adam, ModelConfig, init_params, load_checkpoint, save_checkpoint
 from .synth import SynthSpec, synth_generate, synth_population

@@ -45,16 +45,11 @@ def _require_unit(q, tol=1e-6):
     return q
 
 
-def quat_multiply(a, b):
-    """Hamilton product a ⊗ b, renormalized.
-
-    Both factors must already be unit quaternions (within 1e-6).
-    """
-    a = _require_unit(a)
-    b = _require_unit(b)
+def quat_multiply_raw(a, b):
+    """Hamilton product without unit-norm checks (b may be a pure rate quaternion)."""
     aw, ax, ay, az = a
     bw, bx, by, bz = b
-    out = np.array(
+    return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
@@ -62,7 +57,31 @@ def quat_multiply(a, b):
             aw * bz + ax * by - ay * bx + az * bw,
         ]
     )
-    return quat_normalize(out)
+
+
+def quat_multiply(a, b):
+    """Hamilton product a ⊗ b, renormalized.
+
+    Both factors must already be unit quaternions (within 1e-6).
+    """
+    return quat_normalize(quat_multiply_raw(_require_unit(a), _require_unit(b)))
+
+
+def rotation_from_quaternion(q):
+    """3x3 basis-change matrix taking body vectors into NED.
+
+    Entries follow the standard quadratic form in the quaternion components;
+    the result is orthogonal with determinant +1 for any unit quaternion
+    (within 1e-6; anything else raises InvalidInputError).
+    """
+    w, x, y, z = _require_unit(q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
 
 
 def quat_conjugate(q):
@@ -171,18 +190,6 @@ class MahonyState:
     steps: int = 0
 
 
-def _rotation_matrix(q):
-    # Body -> NED.  Kept local to avoid importing globalview (which depends on us).
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
 def mahony_step(state, accel, gyro, mag, params):
     """One explicit-complementary-filter update.
 
@@ -193,8 +200,8 @@ def mahony_step(state, accel, gyro, mag, params):
     gyro = np.asarray(gyro, dtype=float)
     mag = np.asarray(mag, dtype=float)
     _check_finite(accel, gyro, mag)
-    q = _require_unit(state.q)
-    m_rot = _rotation_matrix(q)
+    m_rot = rotation_from_quaternion(state.q)
+    q = state.q
 
     err = np.zeros(3)
     na = float(np.linalg.norm(accel))
@@ -225,20 +232,6 @@ def mahony_step(state, accel, gyro, mag, params):
     dq = 0.5 * quat_multiply_raw(q, np.array([0.0, omega[0], omega[1], omega[2]]))
     q_new = quat_normalize(q + dq * dt)
     return MahonyState(q=q_new, integral_error=integral, steps=state.steps + 1)
-
-
-def quat_multiply_raw(a, b):
-    """Hamilton product without unit-norm checks (b may be a pure rate quaternion)."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
 
 
 def mahony_run(series, params):

@@ -20,12 +20,18 @@ import numpy as np
 from . import dataset as ds
 from .attitude import MahonyParams
 from .errors import ConfigError, DataError, FlowError
-from .globalview import mc_transform
-from .harness import ExperimentConfig, MODES, emit_report, load_summary, run_louo
-from .metrics import accuracy, confusion, weighted_f1
+from .harness import (
+    MODE_SPECS,
+    MODES,
+    ExperimentConfig,
+    emit_report,
+    load_summary,
+    run_louo,
+)
+from .metrics import accuracy, weighted_f1
 from .model import load_checkpoint, save_checkpoint
 from .synth import SynthSpec, synth_generate
-from .trainer import TrainConfig
+from .trainer import TrainConfig, evaluate, stack_windows
 from .views import GRANULARITIES
 
 
@@ -97,23 +103,9 @@ def cmd_transform(args):
             + "\n"
         )
         for rec in recordings:
-            results = {
-                name: mc_transform(series, type(params)(
-                    kp=params.kp, ki=params.ki,
-                    sample_rate_hz=rec.sample_rate_hz,
-                    warmup_seconds=params.warmup_seconds,
-                ))
-                for name, series in rec.sensors.items()
-            }
-            trim = next(iter(results.values())).trimmed
-            length = next(iter(results.values())).local.shape[0]
-            labels = rec.labels[trim:]
-            for i in range(length):
-                row = [rec.subject_id, str(labels[i])]
-                for name in rec.sensors:
-                    res = results[name]
-                    row.extend(f"{v:.9g}" for v in res.local[i])
-                    row.extend(f"{v:.9g}" for v in res.global_[i])
+            matrix, labels, _, _ = ds.assemble_channels(rec, "concat", params)
+            for label, values in zip(labels, matrix):
+                row = [rec.subject_id, str(label), *(f"{v:.9g}" for v in values)]
                 fh.write(" ".join(row) + "\n")
     print(f"wrote {args.output}")
     return 0
@@ -184,13 +176,8 @@ def cmd_train(args):
         raise FlowError(row.error)
     print(f"target {row.subject}: accuracy={row.accuracy:.4f} f1={row.weighted_f1:.4f}")
     if args.checkpoint:
-        from .harness import _layout_for, _model_config
-        from .views import build_schema
-
-        layout = _layout_for(cfg.mode, len(recordings[0].sensors))
-        schema = build_schema(cfg.granularity, layout) if cfg.mode == "flow" else None
-        save_checkpoint(args.checkpoint, _model_config(cfg, layout, schema),
-                        row.params, cfg.train.seed)
+        save_checkpoint(args.checkpoint, report.model_config, row.params,
+                        cfg.train.seed, cfg.mode)
         print(f"checkpoint written to {args.checkpoint}")
     if args.out:
         emit_report(report, args.out)
@@ -199,23 +186,20 @@ def cmd_train(args):
 
 def cmd_eval(args):
     spec = ds.parse_spec_file(args.spec)
-    config, params, _seed = load_checkpoint(args.checkpoint)
+    config, params, _seed, mode = load_checkpoint(args.checkpoint)
+    if mode not in MODE_SPECS:
+        raise ConfigError(f"checkpoint {args.checkpoint} records no known mode (got {mode!r})")
     recordings = _load_recordings(args.data, spec, args.max_gap)
-    mode = args.mode
-    from .harness import _CHANNEL_MODE
     windows = ds.build_windows(
-        recordings, _CHANNEL_MODE[mode], config.t, args.stride, spec.label_map,
+        recordings, MODE_SPECS[mode].channels, config.t, args.stride, spec.label_map,
         MahonyParams(warmup_seconds=args.warmup),
     )
     if args.target:
         windows = [w for w in windows if w.subject_id == args.target]
     if not windows:
         raise DataError("no evaluable windows")
-    from .trainer import predict_batch, stack_windows
-
     data, labels = stack_windows(windows, config.dtype)
-    preds, _ = predict_batch(data, params, config)
-    cm = confusion(preds, labels, spec.num_classes)
+    _, _, cm = evaluate(data, labels, params, config)
     print(f"accuracy={accuracy(cm):.4f} weighted_f1={weighted_f1(cm):.4f}")
     return 0
 
@@ -301,7 +285,6 @@ def build_parser():
     common_data(p)
     p.add_argument("--data", nargs="+", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--mode", choices=MODES, default="flow")
     p.add_argument("--stride", type=int, default=32)
     p.add_argument("--target", default="")
     p.set_defaults(func=cmd_eval)

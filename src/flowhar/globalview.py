@@ -15,32 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attitude import mahony_run
+from .attitude import mahony_run, rotation_from_quaternion
 from .errors import InsufficientDataError, InvalidInputError
 
 LOCAL_CHANNELS = 9
 GLOBAL_CHANNELS = 13
-
-
-def rotation_from_quaternion(q):
-    """3x3 basis-change matrix taking body vectors into NED.
-
-    Entries follow the standard quadratic form in the quaternion components;
-    the result is orthogonal with determinant +1 for any unit quaternion.
-    """
-    q = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(q)):
-        raise InvalidInputError("non-finite quaternion")
-    if abs(float(np.dot(q, q)) - 1.0) > 2e-6:
-        raise InvalidInputError("quaternion is not unit-norm")
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * y * y - 2 * z * z, 2 * x * y - 2 * w * z, 2 * x * z + 2 * w * y],
-            [2 * x * y + 2 * w * z, 1 - 2 * x * x - 2 * z * z, 2 * y * z - 2 * w * x],
-            [2 * x * z - 2 * w * y, 2 * y * z + 2 * w * x, 1 - 2 * x * x - 2 * y * y],
-        ]
-    )
 
 
 def transform_sample(sample, q):

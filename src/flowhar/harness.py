@@ -6,37 +6,50 @@ report emission.
 from __future__ import annotations
 
 import json
+import pathlib
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attitude import MahonyParams
-from .autodiff import Tensor, softmax_cross_entropy
 from .dataset import build_windows, louo_split
 from .errors import ConfigError, FlowError
-from .metrics import accuracy, confusion, weighted_f1
-from .model import (
-    Adam,
-    ModelConfig,
-    backbone_forward,
-    init_params,
-    mvf_forward,
-    params_by_prefix,
-    set_normalization,
-)
-from .trainer import TrainConfig, TrainLog, EpochRecord, evaluate, fit, stack_windows
-from .views import ChannelLayout, build_schema
+from .metrics import accuracy, weighted_f1
+from .model import ModelConfig, init_params
+from .trainer import TrainConfig, TrainLog, fit
+from .views import ChannelLayout, ViewSchema, build_schema
 
-MODES = ("vL_only", "vG_only", "vL_plus_vG", "flow")
 
-# Channel assembly per mode (see dataset.assemble_channels).
-_CHANNEL_MODE = {
-    "vL_only": "local",
-    "vG_only": "global",
-    "vL_plus_vG": "concat",
-    "flow": "concat",
+@dataclass(frozen=True)
+class ModeSpec:
+    """What a pipeline mode decides: channel assembly, layout and head."""
+
+    channels: str  # dataset.assemble_channels mode: "local", "global" or "concat"
+    # Shuffled views + voting net.  False: one view covering every channel,
+    # predictions from logit group 0.
+    voting: bool
+
+    def layout(self, num_sensors):
+        return ChannelLayout(
+            num_sensors,
+            has_local=self.channels != "global",
+            has_global=self.channels != "local",
+        )
+
+    def schema(self, granularity, layout):
+        if self.voting:
+            return build_schema(granularity, layout)
+        return ViewSchema(granularity="single", views=(tuple(range(layout.num_channels)),))
+
+
+MODE_SPECS = {
+    "vL_only": ModeSpec("local", voting=False),
+    "vG_only": ModeSpec("global", voting=False),
+    "vL_plus_vG": ModeSpec("concat", voting=False),
+    "flow": ModeSpec("concat", voting=True),
 }
+MODES = tuple(MODE_SPECS)
 
 
 @dataclass(frozen=True)
@@ -79,96 +92,13 @@ class ExperimentReport:
     average_f1: float
     wall_time_s: float
     config_echo: dict
-
-
-def _layout_for(mode, num_sensors):
-    return ChannelLayout(
-        num_sensors=num_sensors,
-        has_local=mode in ("vL_only", "vL_plus_vG", "flow"),
-        has_global=mode in ("vG_only", "vL_plus_vG", "flow"),
-    )
-
-
-def _model_config(cfg, layout, schema):
-    n = schema.n if schema is not None else 1
-    return ModelConfig(
-        t=cfg.win_len,
-        c=layout.num_channels,
-        k=cfg.num_classes,
-        n=n,
-        **cfg.model_overrides,
-    )
-
-
-def run_baseline(train_windows, test_windows, model_config, train_config):
-    """Plain backbone + single k-way head, trained with cross-entropy only.
-
-    Used for the three non-fusion ablation arms.  Returns (params, log).
-    """
-    data, labels = stack_windows(train_windows, model_config.dtype)
-    test = stack_windows(test_windows, model_config.dtype) if test_windows else None
-    params = init_params(model_config, train_config.seed)
-    set_normalization(params, data)
-    rng = np.random.default_rng(train_config.seed)
-    opt = Adam(params_by_prefix(params, "backbone.", "mvf."), lr=train_config.lr)
-    log = TrainLog()
-    for epoch in range(train_config.epochs):
-        order = rng.permutation(len(labels))
-        loss_sum = 0.0
-        batches = 0
-        for start in range(0, len(labels), train_config.batch_size):
-            ix = order[start:start + train_config.batch_size]
-            feats = backbone_forward(
-                Tensor(data[ix].astype(model_config.dtype)), params, model_config
-            )
-            logits = mvf_forward(feats, params, model_config).reshape(
-                len(ix), model_config.k
-            )
-            loss = softmax_cross_entropy(logits, labels[ix])
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            loss_sum += float(loss.data)
-            batches += 1
-        train_acc, _ = evaluate(data, labels, params, model_config, use_voting=False)
-        record = EpochRecord(
-            epoch=epoch,
-            loss_mvf1=loss_sum / max(batches, 1),
-            loss_mvf2=0.0,
-            train_accuracy=train_acc,
-        )
-        if test is not None:
-            record.test_accuracy, record.test_view_accuracy = evaluate(
-                test[0], test[1], params, model_config, use_voting=False
-            )
-        log.records.append(record)
-    return params, log
+    model_config: ModelConfig  # shared by every subject; what a checkpoint saves
 
 
 def _evaluate_split(train_windows, test_windows, cfg, model_config, schema):
-    train_config = cfg.train
-    if cfg.mode == "flow":
-        params = init_params(model_config, train_config.seed)
-        params, log = fit(
-            train_windows, schema, params, model_config, train_config, test_windows
-        )
-    else:
-        params, log = run_baseline(train_windows, test_windows, model_config, train_config)
-    data, labels = stack_windows(test_windows, model_config.dtype)
-    preds = []
-    for start in range(0, len(labels), 256):
-        sl = slice(start, start + 256)
-        if cfg.mode == "flow":
-            from .trainer import predict_batch
-
-            p, _ = predict_batch(data[sl], params, model_config)
-        else:
-            feats = backbone_forward(Tensor(data[sl]), params, model_config)
-            logits = mvf_forward(feats, params, model_config).reshape(-1, model_config.k)
-            p = np.argmax(logits.data, axis=1)
-        preds.append(p)
-    preds = np.concatenate(preds)
-    cm = confusion(preds, labels, cfg.num_classes)
+    params = init_params(model_config, cfg.train.seed)
+    params, log = fit(train_windows, schema, params, model_config, cfg.train, test_windows)
+    cm = log.records[-1].test_confusion
     return accuracy(cm), weighted_f1(cm), cm, log, params
 
 
@@ -180,14 +110,20 @@ def run_louo(recordings, cfg):
     skipped via on-disk marker files.
     """
     start_time = time.time()
-    num_sensors = len(next(iter(recordings)).sensors)
-    layout = _layout_for(cfg.mode, num_sensors)
-    # Non-flow modes train a single plain head; no view schema is involved.
-    schema = build_schema(cfg.granularity, layout) if cfg.mode == "flow" else None
-    model_config = _model_config(cfg, layout, schema)
+    mode_spec = MODE_SPECS[cfg.mode]
+    layout = mode_spec.layout(len(next(iter(recordings)).sensors))
+    schema = mode_spec.schema(cfg.granularity, layout)
+    model_config = ModelConfig(
+        t=cfg.win_len,
+        c=layout.num_channels,
+        k=cfg.num_classes,
+        n=schema.n,
+        voting=mode_spec.voting,
+        **cfg.model_overrides,
+    )
     windows = build_windows(
         recordings,
-        _CHANNEL_MODE[cfg.mode],
+        mode_spec.channels,
         cfg.win_len,
         cfg.stride,
         cfg.label_map,
@@ -199,8 +135,6 @@ def run_louo(recordings, cfg):
     for subject in subjects:
         marker = None
         if cfg.output_dir:
-            import pathlib
-
             marker = pathlib.Path(cfg.output_dir) / f"subject_{subject}.done.json"
             if cfg.resume and marker.exists():
                 saved = json.loads(marker.read_text())
@@ -259,14 +193,13 @@ def run_louo(recordings, cfg):
             "lr": cfg.train.lr,
             "seed": cfg.train.seed,
         },
+        model_config=model_config,
     )
 
 
 def emit_report(report, out_dir):
     """Write summary.json, one confusion CSV per subject, and per-epoch curve
     files suitable for external plotting."""
-    import pathlib
-
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = {
@@ -309,6 +242,4 @@ def emit_report(report, out_dir):
 
 
 def load_summary(out_dir):
-    import pathlib
-
     return json.loads((pathlib.Path(out_dir) / "summary.json").read_text())

@@ -32,12 +32,17 @@ class ModelConfig:
     lstm_hidden: int = 128
     voting_hidden: int = 128
     dtype: str = "float32"
+    # Predict through the voting net; False predicts with logit group 0 and
+    # builds no voting net (single-view baselines only).
+    voting: bool = True
 
     def __post_init__(self):
         if self.k < 2:
             raise ConfigError("need at least two classes")
         if self.n < 1:
             raise ConfigError("need at least one view")
+        if not self.voting and self.n != 1:
+            raise ConfigError("a model without a voting net must have exactly one view")
         if min(self.conv_filters, self.lstm_hidden, self.voting_hidden) < 1:
             raise ConfigError("layer widths must be >= 1")
         t_out = self.t - self.conv_layers * (self.conv_kernel - 1)
@@ -72,10 +77,11 @@ def init_params(config, seed):
         in_dim = h
     params["mvf.w"] = _uniform(rng, h, (h, config.n * config.k), dt)
     params["mvf.b"] = _uniform(rng, h, (config.n * config.k,), dt)
-    dims = [config.n * config.k, config.voting_hidden, config.voting_hidden, config.k]
-    for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-        params[f"voting.fc{i}.w"] = _uniform(rng, a, (a, b), dt)
-        params[f"voting.fc{i}.b"] = _uniform(rng, a, (b,), dt)
+    if config.voting:
+        dims = [config.n * config.k, config.voting_hidden, config.voting_hidden, config.k]
+        for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
+            params[f"voting.fc{i}.w"] = _uniform(rng, a, (a, b), dt)
+            params[f"voting.fc{i}.b"] = _uniform(rng, a, (b,), dt)
     # Input standardization constants; not trained, set from the training
     # split by set_normalization.
     params["norm.mu"] = Tensor(np.zeros(config.c, dtype=dt))
@@ -164,15 +170,16 @@ def voting_forward(grouped, params, config):
 
 
 def full_forward(x, params, config):
+    """(b, t, c) input -> ((b, k) final logits, (b, n, k) grouped logits).
+
+    The final logits come from the voting net, or are logit group 0 when the
+    config has no voting net.
+    """
     feats = backbone_forward(x, params, config)
     grouped = mvf_forward(feats, params, config)
+    if not config.voting:
+        return grouped[:, 0, :], grouped
     return voting_forward(grouped, params, config), grouped
-
-
-def baseline_head_forward(features, params):
-    """Plain k-way affine head for the no-fusion baseline (reuses mvf.* with
-    n = 1)."""
-    return features @ params["mvf.w"] + params["mvf.b"]
 
 
 class Adam:
@@ -209,13 +216,15 @@ def params_by_prefix(params, *prefixes):
     return [t for name, t in sorted(params.items()) if name.startswith(prefixes)]
 
 
-def save_checkpoint(path, config, params, seed):
-    meta = json.dumps({"config": asdict(config), "seed": seed})
+def save_checkpoint(path, config, params, seed, mode):
+    """Write config, seed, pipeline mode and every parameter to one .npz."""
+    meta = json.dumps({"config": asdict(config), "seed": seed, "mode": mode})
     arrays = {f"param:{name}": t.data for name, t in params.items()}
     np.savez(path, meta=np.frombuffer(meta.encode(), dtype=np.uint8), **arrays)
 
 
 def load_checkpoint(path):
+    """(config, params, seed, mode); mode is None if the file records none."""
     with np.load(path) as archive:
         meta = json.loads(archive["meta"].tobytes().decode())
         config = ModelConfig(**meta["config"])
@@ -223,14 +232,13 @@ def load_checkpoint(path):
         for key in archive.files:
             if key.startswith("param:"):
                 params[key[len("param:"):]] = Tensor(archive[key], requires_grad=True)
-    return config, params, meta["seed"]
+    return config, params, meta["seed"], meta.get("mode")
 
 
 __all__ = [
     "Adam",
     "ModelConfig",
     "backbone_forward",
-    "baseline_head_forward",
     "full_forward",
     "init_params",
     "load_checkpoint",

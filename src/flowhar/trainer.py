@@ -5,7 +5,9 @@ supervising group j's logits with the label of the sample that donated view
 j.  Phase 2 feeds the same batch unshuffled, freezes backbone + fusion, and
 trains only the voting network on the true labels.  Freezing is enforced by
 detaching the grouped logits, so the frozen stages see neither updates nor
-gradient accumulation.
+gradient accumulation.  A model without a voting net (the single-view
+baselines) trains phase 1 only; with one view covering every channel that
+is plain cross-entropy training.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .autodiff import Tensor, softmax_cross_entropy
 from .errors import ConfigError, InvalidInputError
+from .metrics import accuracy, confusion
 from .model import (
     Adam,
     backbone_forward,
@@ -34,8 +37,6 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 1e-3
     seed: int = 0
-    phase1: bool = True
-    phase2: bool = True
     checkpoint_every: int = 0  # epochs; 0 disables periodic checkpoints
 
     def __post_init__(self):
@@ -53,6 +54,7 @@ class EpochRecord:
     train_accuracy: float
     test_accuracy: float | None = None
     test_view_accuracy: list = field(default_factory=list)
+    test_confusion: np.ndarray | None = None
 
 
 @dataclass
@@ -102,7 +104,8 @@ def train_phase2(data, labels, params, config, opt):
 
 
 def predict_batch(data, params, config):
-    """Final class index per sample (argmax of voting logits; ties -> lowest)."""
+    """Final class index per sample (argmax of the config's head; ties ->
+    lowest) plus the grouped logits."""
     logits, grouped = full_forward(data, params, config)
     return np.argmax(logits.data, axis=1), grouped.data
 
@@ -118,29 +121,25 @@ def _iter_batches(n, batch_size, rng):
         yield order[start:start + batch_size]
 
 
-def evaluate(data, labels, params, config, batch_size=256, use_voting=True):
-    """Overall accuracy plus per-view group accuracies.
-
-    With use_voting=False (the plain-baseline arms) the overall prediction is
-    the argmax of the first logit group instead of the voting output.
-    """
-    correct = 0
+def evaluate(data, labels, params, config, batch_size=256):
+    """Overall accuracy, per-view group accuracies and the k x k confusion
+    matrix of the overall predictions."""
+    preds = []
     view_correct = np.zeros(config.n)
     for start in range(0, len(labels), batch_size):
         sl = slice(start, start + batch_size)
-        preds, grouped = predict_batch(data[sl], params, config)
-        if not use_voting:
-            preds = grouped[:, 0, :].argmax(axis=1)
-        correct += int((preds == labels[sl]).sum())
+        batch_preds, grouped = predict_batch(data[sl], params, config)
+        preds.append(batch_preds)
         group_preds = grouped.argmax(axis=2)
         view_correct += (group_preds == labels[sl][:, None]).sum(axis=0)
-    n = len(labels)
-    return correct / n, (view_correct / n).tolist()
+    cm = confusion(np.concatenate(preds), labels, config.k)
+    return accuracy(cm), (view_correct / len(labels)).tolist(), cm
 
 
 def fit(train_windows, schema, params, model_config, train_config,
         test_windows=None, checkpoint_fn=None):
-    """Full training loop: for every batch, phase 1 then phase 2.
+    """Full training loop: for every batch, phase 1 then (when the model has
+    a voting net) phase 2.
 
     Deterministic for a fixed (data, configs, seed).  Incomplete final
     batches are kept; their shuffle matrix simply has fewer rows.  Returns
@@ -156,7 +155,9 @@ def fit(train_windows, schema, params, model_config, train_config,
 
     rng = np.random.default_rng(train_config.seed)
     opt1 = Adam(params_by_prefix(params, "backbone.", "mvf."), lr=train_config.lr)
-    opt2 = Adam(params_by_prefix(params, "voting."), lr=train_config.lr)
+    opt2 = None
+    if model_config.voting:
+        opt2 = Adam(params_by_prefix(params, "voting."), lr=train_config.lr)
     log = TrainLog()
     for epoch in range(train_config.epochs):
         l1_sum = l2_sum = 0.0
@@ -164,14 +165,14 @@ def fit(train_windows, schema, params, model_config, train_config,
         for ix in _iter_batches(len(labels), train_config.batch_size, rng):
             batch = data[ix]
             batch_labels = labels[ix]
-            if train_config.phase1 and len(ix) >= 2:
+            if len(ix) >= 2:
                 l1_sum += train_phase1(
                     batch, batch_labels, schema, params, model_config, opt1, rng
                 )
-            if train_config.phase2:
+            if opt2 is not None:
                 l2_sum += train_phase2(batch, batch_labels, params, model_config, opt2)
             batches += 1
-        train_acc, _ = evaluate(data, labels, params, model_config)
+        train_acc, _, _ = evaluate(data, labels, params, model_config)
         record = EpochRecord(
             epoch=epoch,
             loss_mvf1=l1_sum / max(batches, 1),
@@ -179,9 +180,8 @@ def fit(train_windows, schema, params, model_config, train_config,
             train_accuracy=train_acc,
         )
         if test is not None:
-            record.test_accuracy, record.test_view_accuracy = evaluate(
-                test[0], test[1], params, model_config
-            )
+            (record.test_accuracy, record.test_view_accuracy,
+             record.test_confusion) = evaluate(test[0], test[1], params, model_config)
         log.records.append(record)
         if (
             checkpoint_fn is not None

@@ -5,6 +5,8 @@ import pytest
 
 from flowhar.cli import main
 from flowhar.attitude import G0
+from flowhar.harness import MODES
+from flowhar.model import ModelConfig, init_params, save_checkpoint
 
 SPEC_TEXT = """\
 name = synthcli
@@ -130,11 +132,50 @@ class TestTrainEval:
         assert ckpt.exists()
 
         code = main(["eval", "--spec", str(spec), "--data", *files,
-                     "--checkpoint", str(ckpt), "--mode", "vG_only",
+                     "--checkpoint", str(ckpt),
                      "--stride", "16", "--target", "0"])
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("accuracy=") and "weighted_f1=" in out
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_eval_scores_what_train_scored(self, corpus, tmp_path, capsys, mode):
+        # eval reads the mode (channels, head) from the checkpoint, so it
+        # must reproduce the held-out score that train printed.
+        spec, files = corpus
+        ckpt = tmp_path / "model.npz"
+        code = main(["train", "--spec", str(spec), "--data", *files,
+                     "--mode", mode, "--target", "1",
+                     "--win-len", "32", "--stride", "16",
+                     "--epochs", "8", "--batch", "8", "--seed", "2",
+                     "--checkpoint", str(ckpt)])
+        trained = capsys.readouterr().out.splitlines()[0]
+        assert code == 0
+
+        def evaluate(target):
+            code = main(["eval", "--spec", str(spec), "--data", *files,
+                         "--checkpoint", str(ckpt), "--stride", "16",
+                         "--target", target])
+            assert code == 0
+            return capsys.readouterr().out.strip()
+
+        acc, f1 = (part.split("=")[1] for part in trained.split(": ", 1)[1].split())
+        assert evaluate("1") == f"accuracy={acc} weighted_f1={f1}"
+        # One training subject does not transfer to the other here, so the
+        # held-out score sits at chance in every mode.  The training subject
+        # tells a trained head from an untrained one.
+        assert evaluate("0") == "accuracy=1.0000 weighted_f1=1.0000"
+
+    def test_checkpoint_without_mode_exits_1(self, corpus, tmp_path, capsys):
+        spec, files = corpus
+        ckpt = tmp_path / "model.npz"
+        cfg = ModelConfig(t=32, c=13, k=2, n=1, voting=False, conv_filters=2,
+                          lstm_hidden=4, voting_hidden=4)
+        save_checkpoint(ckpt, cfg, init_params(cfg, seed=0), seed=0, mode=None)
+        code = main(["eval", "--spec", str(spec), "--data", *files,
+                     "--checkpoint", str(ckpt), "--stride", "16"])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_train_without_target_exits_1(self, corpus, tmp_path, capsys):
         spec, files = corpus

@@ -6,16 +6,17 @@ import pytest
 from flowhar.dataset import Window
 from flowhar.errors import ConfigError
 from flowhar.harness import (
+    MODE_SPECS,
     MODES,
     ExperimentConfig,
     emit_report,
     load_summary,
-    run_baseline,
     run_louo,
 )
-from flowhar.model import ModelConfig
+from flowhar.model import ModelConfig, init_params
 from flowhar.synth import SynthSpec, synth_population
-from flowhar.trainer import TrainConfig
+from flowhar.trainer import TrainConfig, evaluate, fit, stack_windows
+from flowhar.views import ViewSchema
 
 TINY_MODEL = dict(conv_filters=2, lstm_hidden=4, voting_hidden=4)
 
@@ -52,7 +53,27 @@ class TestExperimentConfig:
             ExperimentConfig(mode="bogus")
 
 
+class TestModeSpecs:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_layout_schema_and_head(self, mode):
+        spec = MODE_SPECS[mode]
+        layout = spec.layout(num_sensors=2)
+        schema = spec.schema("medium", layout)
+        assert layout.num_channels == {"local": 18, "global": 26, "concat": 44}[spec.channels]
+        if spec.voting:
+            assert schema.n == 4  # medium: local + global block per sensor
+        else:
+            assert schema.views == (tuple(range(layout.num_channels)),)
+
+    def test_report_carries_model_config(self):
+        report = run_louo(tiny_population(), tiny_config(target_subjects=("u0",)))
+        cfg = report.model_config
+        assert (cfg.n, cfg.voting, cfg.c, cfg.t, cfg.k) == (1, False, 13, 32, 2)
+
+
 class TestRunBaseline:
+    """Single-view baselines: fit with no voting net and one all-channel view."""
+
     def _windows(self, b=12, t=24, c=4, k=2, seed=0):
         rng = np.random.default_rng(seed)
         out = []
@@ -62,22 +83,32 @@ class TestRunBaseline:
             out.append(Window(data=data, label=label, subject_id="s"))
         return out
 
-    def test_toy_train_accuracy(self):
+    def _fit(self, windows, epochs, lr, test_windows=None):
         cfg = ModelConfig(t=24, c=4, k=2, n=1, conv_layers=2, conv_kernel=3,
-                          lstm_layers=1, **TINY_MODEL)
-        tc = TrainConfig(epochs=30, batch_size=8, lr=1e-2, seed=0)
+                          lstm_layers=1, voting=False, **TINY_MODEL)
+        schema = ViewSchema(granularity="single", views=((0, 1, 2, 3),))
+        tc = TrainConfig(epochs=epochs, batch_size=8, lr=lr, seed=0)
+        params, log = fit(windows, schema, init_params(cfg, tc.seed), cfg, tc, test_windows)
+        return cfg, params, log
+
+    def test_toy_train_accuracy(self):
         windows = self._windows()
-        params, log = run_baseline(windows, None, cfg, tc)
+        test_windows = self._windows(b=6, seed=1)
+        cfg, params, log = self._fit(windows, epochs=30, lr=1e-2, test_windows=test_windows)
         assert log.records[-1].train_accuracy >= 0.99
         assert len(log.records) == 30
+        # no voting net: nothing to build, no phase 2
+        assert not any(name.startswith("voting.") for name in params)
+        assert all(r.loss_mvf2 == 0.0 for r in log.records)
+        data, labels = stack_windows(test_windows, cfg.dtype)
+        acc, _, cm = evaluate(data, labels, params, cfg)
+        assert acc == log.records[-1].test_accuracy >= 0.99
+        assert np.array_equal(cm, log.records[-1].test_confusion)
 
     def test_determinism(self):
-        cfg = ModelConfig(t=24, c=4, k=2, n=1, conv_layers=2, conv_kernel=3,
-                          lstm_layers=1, **TINY_MODEL)
-        tc = TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=0)
         windows = self._windows()
-        p1, l1 = run_baseline(windows, None, cfg, tc)
-        p2, l2 = run_baseline(windows, None, cfg, tc)
+        _, p1, l1 = self._fit(windows, epochs=2, lr=1e-3)
+        _, p2, l2 = self._fit(windows, epochs=2, lr=1e-3)
         for name in p1:
             assert np.array_equal(p1[name].data, p2[name].data)
         assert [r.loss_mvf1 for r in l1.records] == [r.loss_mvf1 for r in l2.records]

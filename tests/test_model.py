@@ -9,7 +9,6 @@ from flowhar.model import (
     Adam,
     ModelConfig,
     backbone_forward,
-    baseline_head_forward,
     full_forward,
     init_params,
     load_checkpoint,
@@ -24,8 +23,8 @@ TINY = dict(conv_layers=2, conv_filters=3, conv_kernel=3, lstm_layers=1,
             lstm_hidden=4, voting_hidden=5)
 
 
-def tiny_config(t=9, c=4, k=3, n=2, dtype="float64"):
-    return ModelConfig(t=t, c=c, k=k, n=n, dtype=dtype, **TINY)
+def tiny_config(t=9, c=4, k=3, n=2, dtype="float64", voting=True):
+    return ModelConfig(t=t, c=c, k=k, n=n, dtype=dtype, voting=voting, **TINY)
 
 
 class TestModelConfig:
@@ -33,7 +32,9 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(t=8, c=4, k=3, n=1)  # 4 conv layers at kernel 5 need t > 16
 
-    @pytest.mark.parametrize("kwargs", [{"k": 1}, {"n": 0}, {"conv_filters": 0}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"k": 1}, {"n": 0}, {"conv_filters": 0}, {"voting": False}]
+    )
     def test_validation(self, kwargs):
         base = dict(t=64, c=9, k=4, n=2)
         base.update(kwargs)
@@ -59,12 +60,6 @@ class TestForwardShapes:
         params = init_params(cfg, seed=0)
         grouped = Tensor(np.zeros((5, cfg.n, cfg.k)))
         assert voting_forward(grouped, params, cfg).shape == (5, cfg.k)
-
-    def test_baseline_head_shape(self):
-        cfg = tiny_config(n=1)
-        params = init_params(cfg, seed=0)
-        feats = Tensor(np.zeros((5, cfg.lstm_hidden)))
-        assert baseline_head_forward(feats, params).shape == (5, cfg.n * cfg.k)
 
     def test_shape_mismatch_rejected(self):
         cfg = tiny_config()
@@ -197,18 +192,40 @@ class TestAdam:
         assert np.array_equal(results[0], results[1])
 
 
+class TestNoVotingHead:
+    def test_no_voting_params(self):
+        with_voting = init_params(tiny_config(n=1), seed=0)
+        without = init_params(tiny_config(n=1, voting=False), seed=0)
+        assert set(with_voting) - set(without) == {
+            name for name in with_voting if name.startswith("voting.")
+        }
+        # the voting net is drawn last, so every other stage starts the same
+        for name, t in without.items():
+            assert np.array_equal(t.data, with_voting[name].data)
+
+    def test_final_logits_are_group_zero(self):
+        cfg = tiny_config(n=1, voting=False)
+        params = init_params(cfg, seed=0)
+        x = np.random.default_rng(0).normal(size=(5, cfg.t, cfg.c))
+        logits, grouped = full_forward(x, params, cfg)
+        assert logits.shape == (5, cfg.k)
+        assert np.array_equal(logits.data, grouped.data[:, 0, :])
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        cfg = tiny_config(dtype="float32")
-        params = init_params(cfg, seed=11)
-        path = tmp_path / "model.npz"
-        save_checkpoint(path, cfg, params, seed=11)
-        cfg2, params2, seed2 = load_checkpoint(path)
-        assert cfg2 == cfg and seed2 == 11
-        assert set(params2) == set(params)
-        for name in params:
-            assert np.array_equal(params[name].data, params2[name].data)
-            assert params[name].data.dtype == params2[name].data.dtype
+        # mode None is what a file written without a mode loads as
+        for voting, n, mode in ((True, 2, "flow"), (False, 1, None)):
+            cfg = tiny_config(n=n, dtype="float32", voting=voting)
+            params = init_params(cfg, seed=11)
+            path = tmp_path / f"model_{voting}.npz"
+            save_checkpoint(path, cfg, params, seed=11, mode=mode)
+            cfg2, params2, seed2, mode2 = load_checkpoint(path)
+            assert cfg2 == cfg and seed2 == 11 and mode2 == mode
+            assert set(params2) == set(params)
+            for name in params:
+                assert np.array_equal(params[name].data, params2[name].data)
+                assert params[name].data.dtype == params2[name].data.dtype
 
 
 class TestParamsByPrefix:

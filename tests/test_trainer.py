@@ -205,8 +205,9 @@ class TestFit:
         windows = self._windows(b=16)
         params, log = fit(windows, schema, params, cfg, tc)
         data, labels = stack_windows(windows, cfg.dtype)
-        acc, view_acc = evaluate(data, labels, params, cfg)
+        acc, view_acc, cm = evaluate(data, labels, params, cfg)
         assert acc >= 0.99
+        assert cm.sum() == len(labels) and np.trace(cm) == round(acc * len(labels))
         # voting must not destroy the best single view's signal
         assert acc >= max(view_acc) - 0.02
 
@@ -223,13 +224,19 @@ class TestFit:
 
 class TestEvaluate:
     def test_use_voting_flag(self):
-        cfg = ModelConfig(t=9, c=4, k=2, n=2, dtype="float64", **TINY)
-        params = init_params(cfg, seed=0)
+        # The head is a property of the config: without a voting net the
+        # overall prediction is logit group 0; per-view accuracies come from
+        # the shared backbone + MVF layer either way.
         rng = np.random.default_rng(0)
         data = rng.normal(size=(6, 9, 4))
         labels = rng.integers(0, 2, size=6)
-        acc_vote, views = evaluate(data, labels, params, cfg, use_voting=True)
-        acc_head, views2 = evaluate(data, labels, params, cfg, use_voting=False)
+        vote_cfg = ModelConfig(t=9, c=4, k=2, n=1, dtype="float64", **TINY)
+        head_cfg = ModelConfig(t=9, c=4, k=2, n=1, dtype="float64", voting=False, **TINY)
+        vote_params = init_params(vote_cfg, seed=0)
+        head_params = init_params(head_cfg, seed=0)
+        acc_vote, views, cm_vote = evaluate(data, labels, vote_params, vote_cfg)
+        acc_head, views2, cm_head = evaluate(data, labels, head_params, head_cfg)
         assert 0.0 <= acc_vote <= 1.0 and 0.0 <= acc_head <= 1.0
-        assert views == views2  # per-view accuracies do not depend on the flag
-        assert len(views) == cfg.n
+        assert views == views2 and len(views) == 1
+        assert acc_head == views2[0]
+        assert cm_vote.shape == cm_head.shape == (2, 2)
