@@ -22,7 +22,7 @@ from .dataset import (
     parse_spec_file,
     segment_windows,
 )
-from .globalview import mc_transform, rotation_from_quaternion, transform_sample
+from .globalview import mc_transform, rotation_from_quaternion
 from .harness import ExperimentConfig, emit_report, run_louo
 from .metrics import accuracy, confusion, weighted_f1
 from .model import Adam, ModelConfig, init_params, load_checkpoint, save_checkpoint

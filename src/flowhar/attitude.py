@@ -39,9 +39,9 @@ def quat_normalize(q):
 
 def _require_unit(q, tol=1e-6):
     q = np.asarray(q, dtype=float)
-    _check_finite(q)
-    if abs(float(np.dot(q, q)) - 1.0) > 2.0 * tol:
-        raise InvalidInputError("quaternion is not unit-norm")
+    # A NaN or infinite component fails the comparison as well.
+    if not (np.abs((q * q).sum(-1) - 1.0) <= 2.0 * tol).all():
+        raise InvalidInputError("quaternion is not finite and unit-norm")
     return q
 
 
@@ -67,21 +67,28 @@ def quat_multiply(a, b):
     return quat_normalize(quat_multiply_raw(_require_unit(a), _require_unit(b)))
 
 
-def rotation_from_quaternion(q):
-    """3x3 basis-change matrix taking body vectors into NED.
-
-    Entries follow the standard quadratic form in the quaternion components;
-    the result is orthogonal with determinant +1 for any unit quaternion
-    (within 1e-6; anything else raises InvalidInputError).
-    """
-    w, x, y, z = _require_unit(q)
-    return np.array(
+def _rotation(q):
+    """Unchecked quadratic form: (4,) -> (3, 3), (t, 4) -> (t, 3, 3)."""
+    w, x, y, z = q.T
+    m = np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
             [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
+    return m if q.ndim == 1 else m.transpose(2, 0, 1)
+
+
+def rotation_from_quaternion(q):
+    """Basis-change matrix taking body vectors into NED.
+
+    q is one quaternion (4,) or a sequence (t, 4); the result is (3, 3) or
+    (t, 3, 3).  Entries follow the standard quadratic form in the quaternion
+    components; each matrix is orthogonal with determinant +1 for a unit
+    quaternion (within 1e-6; any other row raises InvalidInputError).
+    """
+    return _rotation(_require_unit(q))
 
 
 def quat_conjugate(q):
@@ -190,19 +197,10 @@ class MahonyState:
     steps: int = 0
 
 
-def mahony_step(state, accel, gyro, mag, params):
-    """One explicit-complementary-filter update.
-
-    A zero accelerometer or magnetometer vector disables that correction term
-    for the step (gyro-only propagation still happens).
-    """
-    accel = np.asarray(accel, dtype=float)
-    gyro = np.asarray(gyro, dtype=float)
-    mag = np.asarray(mag, dtype=float)
-    _check_finite(accel, gyro, mag)
-    m_rot = rotation_from_quaternion(state.q)
-    q = state.q
-
+def _mahony_update(q, integral, accel, gyro, mag, params):
+    """The filter update shared by mahony_step and mahony_run, without input
+    checks.  Returns the new (q, integral)."""
+    m_rot = _rotation(q)
     err = np.zeros(3)
     na = float(np.linalg.norm(accel))
     if na > 0.0:
@@ -224,34 +222,49 @@ def mahony_step(state, accel, gyro, mag, params):
             err += np.cross(m_n, w_b)
 
     dt = 1.0 / params.sample_rate_hz
-    integral = state.integral_error
     if params.ki > 0.0:
         integral = integral + err * dt
     omega = gyro + params.kp * err + params.ki * integral
 
     dq = 0.5 * quat_multiply_raw(q, np.array([0.0, omega[0], omega[1], omega[2]]))
-    q_new = quat_normalize(q + dq * dt)
-    return MahonyState(q=q_new, integral_error=integral, steps=state.steps + 1)
+    return quat_normalize(q + dq * dt), integral
+
+
+def mahony_step(state, accel, gyro, mag, params):
+    """One checked filter update: the scalar reference for mahony_run.
+
+    A zero accelerometer or magnetometer vector disables that correction term
+    for the step (gyro-only propagation still happens).
+    """
+    accel = np.asarray(accel, dtype=float)
+    gyro = np.asarray(gyro, dtype=float)
+    mag = np.asarray(mag, dtype=float)
+    _check_finite(accel, gyro, mag)
+    q = _require_unit(state.q)
+    q, integral = _mahony_update(q, state.integral_error, accel, gyro, mag, params)
+    return MahonyState(q=q, integral_error=integral, steps=state.steps + 1)
 
 
 def mahony_run(series, params):
     """Filter a whole 9-axis stream.
 
     series: (t, 9) array in channel order [ax ay az mx my mz gx gy gz].
-    Returns a (t, 4) array of unit quaternions, one per input sample.  The
-    first sample seeds the filter through quat_from_accel_mag (identity on a
-    degenerate pair).  No warm-up trimming happens here.
+    Returns a (t, 4) array of unit quaternions, one per input sample, as a
+    loop of mahony_step would.  The first sample seeds the filter through
+    quat_from_accel_mag (identity on a degenerate pair).  No warm-up trimming
+    happens here.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 2 or series.shape[1] != 9 or series.shape[0] == 0:
         raise InvalidInputError("series must be a non-empty (t, 9) array")
+    _check_finite(series)
     try:
-        q0 = quat_from_accel_mag(series[0, 0:3], series[0, 3:6])
+        q = quat_from_accel_mag(series[0, 0:3], series[0, 3:6])
     except (DegenerateInitError, InvalidInputError):
-        q0 = _IDENTITY.copy()
-    state = MahonyState(q=q0)
+        q = _IDENTITY.copy()
+    integral = np.zeros(3)
     out = np.empty((series.shape[0], 4))
     for i, row in enumerate(series):
-        state = mahony_step(state, row[0:3], row[6:9], row[3:6], params)
-        out[i] = state.q
+        q, integral = _mahony_update(q, integral, row[0:3], row[6:9], row[3:6], params)
+        out[i] = q
     return out

@@ -137,7 +137,10 @@ class Tensor:
         return out
 
     def sigmoid(self):
-        y = 1.0 / (1.0 + np.exp(-self.data))
+        # For very negative x, exp(-x) overflows to inf and 1 / (1 + inf)
+        # gives the right limit, 0, so the overflow is harmless.
+        with np.errstate(over="ignore"):
+            y = 1.0 / (1.0 + np.exp(-self.data))
         out = _node(y, (self,))
         if out._parents:
             out._backward = lambda g: self._accumulate(g * y * (1.0 - y))

@@ -67,6 +67,8 @@ class DatasetSpec:
         mapped = list(self.label_map.values())
         if len(mapped) != len(set(mapped)):
             raise ConfigError("label map must be injective")
+        if any(not 0 <= c < self.num_classes for c in mapped):
+            raise ConfigError(f"label map class indices must lie in [0, {self.num_classes})")
 
 
 @dataclass
@@ -150,6 +152,7 @@ def parse_spec_file(path):
 
 
 def _parse_rows(path):
+    """Numeric rows of a recording file, each as wide as the first."""
     rows = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -157,6 +160,10 @@ def _parse_rows(path):
             if not stripped or stripped.startswith("#"):
                 continue
             fields = stripped.replace(",", " ").split()
+            if rows and len(fields) != len(rows[0]):
+                raise ParseError(
+                    f"row has {len(fields)} fields, expected {len(rows[0])}", line_no
+                )
             try:
                 rows.append([float(v) for v in fields])
             except ValueError as exc:
@@ -170,10 +177,9 @@ def load_recording(path, spec):
     Gyroscope values are converted to rad/s.  Rows whose label code has no
     entry in the label map are kept (windowing drops them later).
     """
-    rows = _parse_rows(path)
-    if not rows:
+    data = np.asarray(_parse_rows(path), dtype=float)
+    if not data.size:
         raise SpecMismatchError(f"{path}: file contains no data rows")
-    ncols = len(rows[0])
     needed = [spec.label_col]
     for sc in spec.sensors.values():
         needed.extend(sc.all_columns())
@@ -181,55 +187,48 @@ def load_recording(path, spec):
     if spec.subject_source.startswith("col:"):
         subj_col = int(spec.subject_source.split(":", 1)[1])
         needed.append(subj_col)
-    if max(needed) >= ncols:
+    if max(needed) >= data.shape[1]:
         raise SpecMismatchError(
-            f"{path}: spec needs column {max(needed)} but file has {ncols} columns"
+            f"{path}: spec needs column {max(needed)} but file has {data.shape[1]} columns"
         )
-    for i, row in enumerate(rows):
-        if len(row) != ncols:
-            raise ParseError(f"row has {len(row)} fields, expected {ncols}", i + 1)
 
-    data = np.asarray(rows, dtype=float)
     labels_raw = data[:, spec.label_col]
     if not np.all(np.isfinite(labels_raw)) or np.any(labels_raw != np.round(labels_raw)):
         raise SpecMismatchError(f"{path}: label column {spec.label_col} is not integral")
     labels = labels_raw.astype(int)
 
+    # One Recording per run of equal subject ids: bounds[k]:bounds[k + 1].
     if subj_col is not None:
-        subj_values = data[:, subj_col]
-        if np.any(subj_values != np.round(subj_values)):
+        subj = data[:, subj_col]
+        if not np.all(np.isfinite(subj)) or np.any(subj != np.round(subj)):
             raise SpecMismatchError(f"{path}: subject column is not integral")
-        subjects = [str(int(v)) for v in subj_values]
+        bounds = [0, *(np.flatnonzero(subj[1:] != subj[:-1]) + 1), len(data)]
+        subjects = [str(int(subj[start])) for start in bounds[:-1]]
     else:
         m = re.search(spec.subject_source.split(":", 1)[1], str(path))
         if not m:
             raise SpecMismatchError(f"{path}: subject pattern did not match filename")
-        subjects = [m.group(1)] * len(rows)
+        bounds = [0, len(data)]
+        subjects = [m.group(1)]
 
     gyro_scale = math.pi / 180.0 if spec.gyro_unit == "deg/s" else 1.0
 
     recordings = []
-    start = 0
-    for end in range(1, len(rows) + 1):
-        if end == len(rows) or subjects[end] != subjects[start]:
-            seg = slice(start, end)
-            sensors = {}
-            for name, sc in spec.sensors.items():
-                block = np.empty((end - start, 9))
-                block[:, 0:3] = data[seg, :][:, list(sc.accel)]
-                block[:, 3:6] = data[seg, :][:, list(sc.mag)]
-                block[:, 6:9] = data[seg, :][:, list(sc.gyro)] * gyro_scale
-                sensors[name] = block
-            recordings.append(
-                Recording(
-                    subject_id=subjects[start],
-                    sensors=sensors,
-                    labels=labels[seg].copy(),
-                    valid=np.ones(end - start, dtype=bool),
-                    sample_rate_hz=spec.native_rate_hz,
-                )
+    for subject, start, end in zip(subjects, bounds[:-1], bounds[1:]):
+        sensors = {}
+        for name, sc in spec.sensors.items():
+            block = data[start:end, sc.all_columns()]
+            block[:, 6:9] *= gyro_scale
+            sensors[name] = block
+        recordings.append(
+            Recording(
+                subject_id=subject,
+                sensors=sensors,
+                labels=labels[start:end].copy(),
+                valid=np.ones(end - start, dtype=bool),
+                sample_rate_hz=spec.native_rate_hz,
             )
-            start = end
+        )
     return recordings
 
 
@@ -255,15 +254,11 @@ def interpolate_nans(rec, max_gap):
             good_ix = np.flatnonzero(~bad)
             col[:] = np.interp(np.arange(len(col)), good_ix, col[good_ix])
             # Mark over-long runs invalid.  Leading/trailing runs count too.
-            run_start = None
-            for i in range(len(bad) + 1):
-                if i < len(bad) and bad[i]:
-                    if run_start is None:
-                        run_start = i
-                elif run_start is not None:
-                    if i - run_start > max_gap:
-                        valid[run_start:i] = False
-                    run_start = None
+            # Padding makes every run's start and end a change in the mask,
+            # and the bad samples in order are the runs back to back.
+            edges = np.flatnonzero(np.diff(np.pad(bad, 1)))
+            run_len = edges[1::2] - edges[0::2]
+            valid[np.flatnonzero(bad)[np.repeat(run_len > max_gap, run_len)]] = False
         sensors[name] = out
     return replace(rec, sensors=sensors, valid=valid)
 

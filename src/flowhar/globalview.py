@@ -22,35 +22,23 @@ LOCAL_CHANNELS = 9
 GLOBAL_CHANNELS = 13
 
 
-def transform_sample(sample, q):
-    """Rotate one 9-axis local sample into NED and append the quaternion.
-
-    sample: length-9 array [ax ay az mx my mz gx gy gz].
-    Returns the 13-value global view [a' m' g' qw qx qy qz].
-    """
-    sample = np.asarray(sample, dtype=float)
-    if sample.shape != (LOCAL_CHANNELS,):
-        raise InvalidInputError("sample must have 9 channels")
-    m = rotation_from_quaternion(q)
-    out = np.empty(GLOBAL_CHANNELS)
-    out[0:3] = m @ sample[0:3]
-    out[3:6] = m @ sample[3:6]
-    out[6:9] = m @ sample[6:9]
-    out[9:13] = q
-    return out
-
-
 def transform_series(series, quats):
-    """Vectorized transform_sample over aligned (t, 9) and (t, 4) arrays."""
+    """Rotate aligned (t, 9) local samples into NED and append the quaternions.
+
+    series rows are [ax ay az mx my mz gx gy gz]; quats is the (t, 4) unit
+    quaternion sequence.  Returns the (t, 13) global view, one row
+    [a' m' g' qw qx qy qz] per sample.
+    """
     series = np.asarray(series, dtype=float)
     quats = np.asarray(quats, dtype=float)
-    if series.shape[0] != quats.shape[0]:
-        raise InvalidInputError("series and quaternion sequence lengths differ")
-    t = series.shape[0]
-    out = np.empty((t, GLOBAL_CHANNELS))
-    for i in range(t):
-        out[i] = transform_sample(series[i], quats[i])
-    return out
+    if series.ndim != 2 or series.shape[1] != LOCAL_CHANNELS:
+        raise InvalidInputError("series must be a (t, 9) array")
+    if quats.shape != (series.shape[0], 4):
+        raise InvalidInputError("quaternions must be a (t, 4) array as long as the series")
+    rot = rotation_from_quaternion(quats)
+    vectors = series.reshape(-1, 3, 3)  # (t, sensor triplet, xyz)
+    rotated = np.einsum("tij,tsj->tsi", rot, vectors).reshape(-1, LOCAL_CHANNELS)
+    return np.concatenate([rotated, quats], axis=1)
 
 
 @dataclass(frozen=True)

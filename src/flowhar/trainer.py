@@ -160,23 +160,21 @@ def fit(train_windows, schema, params, model_config, train_config,
         opt2 = Adam(params_by_prefix(params, "voting."), lr=train_config.lr)
     log = TrainLog()
     for epoch in range(train_config.epochs):
-        l1_sum = l2_sum = 0.0
-        batches = 0
+        losses1, losses2 = [], []
         for ix in _iter_batches(len(labels), train_config.batch_size, rng):
             batch = data[ix]
             batch_labels = labels[ix]
             if len(ix) >= 2:
-                l1_sum += train_phase1(
+                losses1.append(train_phase1(
                     batch, batch_labels, schema, params, model_config, opt1, rng
-                )
+                ))
             if opt2 is not None:
-                l2_sum += train_phase2(batch, batch_labels, params, model_config, opt2)
-            batches += 1
+                losses2.append(train_phase2(batch, batch_labels, params, model_config, opt2))
         train_acc, _, _ = evaluate(data, labels, params, model_config)
         record = EpochRecord(
             epoch=epoch,
-            loss_mvf1=l1_sum / max(batches, 1),
-            loss_mvf2=l2_sum / max(batches, 1),
+            loss_mvf1=sum(losses1) / max(len(losses1), 1),
+            loss_mvf2=sum(losses2) / max(len(losses2), 1),
             train_accuracy=train_acc,
         )
         if test is not None:

@@ -26,6 +26,7 @@ from flowhar.attitude import (
     quat_normalize,
 )
 from flowhar.errors import ConfigError, DegenerateInitError, InvalidInputError
+from flowhar.synth import SynthSpec, synth_generate
 
 S2 = math.sqrt(0.5)
 
@@ -208,13 +209,46 @@ class TestMahonyRun:
 
     def test_slow_rotation_tracks_truth(self):
         # 90-degree yaw over 5 s at 30 Hz; final attitude within 3 degrees.
-        from flowhar.synth import SynthSpec, synth_generate
-
         rate = math.pi / 2 / 5.0
         spec = SynthSpec(duration_s=5.0, rate_hz=30.0, segments=((5.0, (0, 0, rate)),))
         rec, truth = synth_generate(spec)
         quats = mahony_run(rec.sensors["imu0"], MahonyParams())
         assert attitude_error_deg(quats[-1], truth[-1]) < 3.0
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            MahonyParams(),
+            MahonyParams(ki=0.3),
+            MahonyParams(kp=2.0, ki=0.1, mag_reference_handling="fixed",
+                         fixed_inclination_deg=55.0),
+        ],
+        ids=["default", "ki", "fixed_mag"],
+    )
+    def test_equals_step_loop(self, params):
+        # The scalar reference: TRIAD seed, then mahony_step per row.
+        spec = SynthSpec(duration_s=4.0, rate_hz=30.0,
+                         segments=((2.0, (0.3, -0.2, 0.5)), (2.0, (-0.4, 0.1, 0.0))),
+                         lin_acc_amp_ned=(1.0, 0.5, 0.3), lin_acc_freq_hz=1.5)
+        rec, _ = synth_generate(spec)
+        series = rec.sensors["imu0"].copy()
+        series[10, 0:3] = 0.0  # accel correction off for one step
+        series[20, 3:6] = 0.0  # mag correction off for one step
+        series[30, 0:6] = 0.0  # both off
+        state = MahonyState(q=quat_from_accel_mag(series[0, 0:3], series[0, 3:6]))
+        expected = []
+        for row in series:
+            state = mahony_step(state, row[0:3], row[6:9], row[3:6], params)
+            expected.append(state.q)
+        assert np.array_equal(mahony_run(series, params), np.array(expected))
+
+    @pytest.mark.parametrize("row", [0, 7, 16])
+    @pytest.mark.parametrize("col", [0, 4, 8])
+    def test_rejects_non_finite_in_any_row(self, row, col):
+        series = static_stream(np.array([1.0, 0, 0, 0]), 17)
+        series[row, col] = np.nan
+        with pytest.raises(InvalidInputError):
+            mahony_run(series, MahonyParams())
 
     def test_degenerate_first_sample_falls_back_to_identity(self):
         series = static_stream(np.array([1.0, 0, 0, 0]), 5)

@@ -1,6 +1,7 @@
 """Finite-difference and closed-form checks of the reverse-mode core."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,15 @@ class TestNonlinearities:
 
     def test_sigmoid_grad(self):
         check_grad(lambda t: t.sigmoid().sum(), (4, 4), seed=12)
+
+    def test_sigmoid_saturates_without_overflow(self):
+        x = Tensor(np.array([-1000.0, 1000.0], dtype=np.float32), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            y = x.sigmoid()
+            y.sum().backward()
+        assert y.data.tolist() == [0.0, 1.0]
+        assert x.grad.tolist() == [0.0, 0.0]
 
     def test_tanh_grad(self):
         check_grad(lambda t: t.tanh().sum(), (4, 4), seed=13)

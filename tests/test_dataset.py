@@ -1,9 +1,12 @@
 """Ingestion, cleaning, windowing, and LOUO split tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flowhar.attitude import MahonyParams
 from flowhar.dataset import (
@@ -65,6 +68,61 @@ def write_recording(tmp_path, rows, name="rec.txt", sep=" "):
     return path
 
 
+def load_recording_loop(data, path, spec):
+    """Per-row segmentation that load_recording used before it found subject
+    boundaries with array ops; kept as the oracle for its recordings."""
+    labels = data[:, spec.label_col].astype(int)
+    if spec.subject_source.startswith("col:"):
+        subjects = [str(int(v)) for v in data[:, int(spec.subject_source[4:])]]
+    else:
+        subjects = [re.search(spec.subject_source.split(":", 1)[1], str(path)).group(1)] * len(data)
+    gyro_scale = math.pi / 180.0 if spec.gyro_unit == "deg/s" else 1.0
+    recordings = []
+    start = 0
+    for end in range(1, len(data) + 1):
+        if end == len(data) or subjects[end] != subjects[start]:
+            seg = slice(start, end)
+            sensors = {}
+            for name, sc in spec.sensors.items():
+                block = np.empty((end - start, 9))
+                block[:, 0:3] = data[seg, :][:, list(sc.accel)]
+                block[:, 3:6] = data[seg, :][:, list(sc.mag)]
+                block[:, 6:9] = data[seg, :][:, list(sc.gyro)] * gyro_scale
+                sensors[name] = block
+            recordings.append((subjects[start], sensors, labels[seg].copy()))
+            start = end
+    return recordings
+
+
+def interpolate_nans_loop(rec, max_gap):
+    """interpolate_nans as it was with a per-sample run scan; the oracle for
+    its fill and its valid mask."""
+    valid = rec.valid.copy()
+    sensors = {}
+    for name, arr in rec.sensors.items():
+        out = arr.copy()
+        for ch in range(arr.shape[1]):
+            col = out[:, ch]
+            bad = ~np.isfinite(col)
+            if not bad.any():
+                continue
+            if bad.all():
+                raise ChannelUnusableError(f"sensor {name} channel {ch} has no valid samples")
+            good_ix = np.flatnonzero(~bad)
+            col[:] = np.interp(np.arange(len(col)), good_ix, col[good_ix])
+            run_start = None
+            for i in range(len(bad) + 1):
+                if i < len(bad) and bad[i]:
+                    if run_start is None:
+                        run_start = i
+                elif run_start is not None:
+                    if i - run_start > max_gap:
+                        valid[run_start:i] = False
+                    run_start = None
+        sensors[name] = out
+    return sensors, valid
+
+
 class TestParseSpecFile:
     def test_round_trip(self, tmp_path):
         spec = parse_spec_file(write_spec(tmp_path))
@@ -117,6 +175,12 @@ class TestDatasetSpecValidation:
                 native_rate_hz=30,
             )
 
+    def test_class_index_out_of_range(self, tmp_path):
+        with pytest.raises(ConfigError):
+            parse_spec_file(write_spec(tmp_path, SPEC_TEXT + "label.6 = 7\n"))
+        with pytest.raises(ConfigError):
+            parse_spec_file(write_spec(tmp_path, SPEC_TEXT + "label.6 = -1\n"))
+
     def test_non_injective_label_map(self):
         with pytest.raises(ConfigError):
             DatasetSpec(
@@ -167,12 +231,56 @@ class TestLoadRecording:
             load_recording(path, spec)
         assert exc.value.line_no == 2
 
+    def test_ragged_row_reports_file_line(self, tmp_path):
+        spec = parse_spec_file(write_spec(tmp_path))
+        rows = [" ".join(str(v) for v in row) for row in make_rows(3)]
+        text = "# header\n\n" + rows[0] + "\n# note\n" + rows[1] + "\n" + rows[2][:-8] + "\n"
+        path = tmp_path / "ragged.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_recording(path, spec)
+        assert exc.value.line_no == 6
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+        from_filename=st.booleans(),
+    )
+    def test_matches_per_row_segmentation(self, tmp_path, runs, seed, from_filename):
+        # Subjects repeat non-contiguously, e.g. 1 1 2 1 3 3.
+        text = SPEC_TEXT
+        if from_filename:
+            text = text.replace("subject = col:0", r"subject = filename:subj(\d+)")
+        spec = parse_spec_file(write_spec(tmp_path, text))
+        rng = np.random.default_rng(seed)
+        subjects = np.repeat([r[0] for r in runs], [r[1] for r in runs])
+        data = rng.normal(size=(len(subjects), 11))
+        data[:, 0] = subjects
+        data[:, 1] = rng.choice([10, 20, 99], size=len(subjects))
+        path = write_recording(tmp_path, data.tolist(), "subj5.txt")
+        got = load_recording(path, spec)
+        want = load_recording_loop(data, path, spec)
+        assert [r.subject_id for r in got] == [w[0] for w in want]
+        for rec, (_, sensors, labels) in zip(got, want):
+            assert np.array_equal(rec.labels, labels)
+            assert np.array_equal(rec.sensors["imu"], sensors["imu"])
+            assert rec.valid.all() and rec.valid.shape == labels.shape
+
     def test_subject_change_splits_runs(self, tmp_path):
         spec = parse_spec_file(write_spec(tmp_path))
         rows = make_rows(5, subject=1) + make_rows(3, subject=2) + make_rows(2, subject=1)
         path = write_recording(tmp_path, rows)
         recs = load_recording(path, spec)
         assert [(r.subject_id, r.length) for r in recs] == [("1", 5), ("2", 3), ("1", 2)]
+
+    @pytest.mark.parametrize("subject", [np.inf, np.nan, 1.5])
+    def test_non_integral_subject_rejected(self, tmp_path, subject):
+        spec = parse_spec_file(write_spec(tmp_path))
+        path = write_recording(tmp_path, make_rows(2) + make_rows(1, subject=subject))
+        with pytest.raises(SpecMismatchError):
+            load_recording(path, spec)
 
     def test_subject_from_filename(self, tmp_path):
         text = SPEC_TEXT.replace("subject = col:0", r"subject = filename:subj(\d+)")
@@ -219,6 +327,40 @@ class TestInterpolateNans:
     def test_all_nan_channel(self):
         with pytest.raises(ChannelUnusableError):
             interpolate_nans(self._rec([np.nan, np.nan]), max_gap=1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t=st.integers(1, 60),
+        density=st.floats(0.0, 0.7),
+        edge_gaps=st.tuples(st.integers(0, 17), st.integers(0, 8), st.integers(0, 8)),
+        max_gap=st.integers(0, 4),
+    )
+    def test_matches_per_sample_run_scan(self, seed, t, density, edge_gaps, max_gap):
+        rng = np.random.default_rng(seed)
+        nan_mask = rng.random((t, 18)) < density
+        ch, lead, trail = edge_gaps  # a gap at the start and one at the end of one channel
+        nan_mask[:lead, ch] = True
+        nan_mask[max(t - trail, 0):, ch] = True
+        data = np.arange(t * 18, dtype=float).reshape(t, 18) % 7.0 - 3.0
+        data[nan_mask] = np.nan
+        rec = Recording(
+            subject_id="s",
+            sensors={"a": data[:, :9], "b": data[:, 9:]},
+            labels=np.zeros(t, dtype=int),
+            valid=rng.random(t) < 0.9,
+            sample_rate_hz=30.0,
+        )
+        try:
+            want_sensors, want_valid = interpolate_nans_loop(rec, max_gap)
+        except ChannelUnusableError:
+            with pytest.raises(ChannelUnusableError):
+                interpolate_nans(rec, max_gap)
+            return
+        got = interpolate_nans(rec, max_gap)
+        assert np.array_equal(got.valid, want_valid)
+        for name, arr in want_sensors.items():
+            assert np.array_equal(got.sensors[name], arr)
 
 
 class TestDecimate:

@@ -15,7 +15,6 @@ from flowhar.globalview import (
     LOCAL_CHANNELS,
     mc_transform,
     rotation_from_quaternion,
-    transform_sample,
     transform_series,
 )
 
@@ -45,6 +44,18 @@ class TestRotationFromQuaternion:
         assert np.max(np.abs(m.T @ m - np.eye(3))) <= 1e-9
         assert abs(np.linalg.det(m) - 1.0) <= 1e-9
 
+    def test_stack_equals_rows(self):
+        rng = np.random.default_rng(3)
+        quats = np.array([random_unit_quat(rng) for _ in range(6)])
+        stack = rotation_from_quaternion(quats)
+        assert stack.shape == (6, 3, 3)
+        for q, m in zip(quats, stack):
+            assert np.array_equal(m, rotation_from_quaternion(q))
+
+    def test_rejects_non_unit_row_in_stack(self):
+        with pytest.raises(InvalidInputError):
+            rotation_from_quaternion([[1, 0, 0, 0], [1, 1, 0, 0]])
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_matches_independent_formula(self, seed):
@@ -53,32 +64,36 @@ class TestRotationFromQuaternion:
 
 
 class TestTransformSample:
+    """One-sample inputs through transform_series."""
+
     def test_identity_rotation_is_passthrough(self):
         s = np.arange(9.0)
-        out = transform_sample(s, [1, 0, 0, 0])
-        assert out.shape == (GLOBAL_CHANNELS,)
-        assert np.allclose(out[0:9], s, atol=1e-15)
-        assert np.allclose(out[9:13], [1, 0, 0, 0])
+        out = transform_series(s[None], [[1, 0, 0, 0]])
+        assert out.shape == (1, GLOBAL_CHANNELS)
+        assert np.allclose(out[0, 0:9], s, atol=1e-15)
+        assert np.allclose(out[0, 9:13], [1, 0, 0, 0])
 
     def test_norm_preservation(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             s = rng.normal(size=9)
             q = random_unit_quat(rng)
-            out = transform_sample(s, q)
+            out = transform_series(s[None], q[None])[0]
             for a, b in ((0, 3), (3, 6), (6, 9)):
                 assert abs(np.linalg.norm(out[a:b]) - np.linalg.norm(s[a:b])) <= 1e-9
 
     def test_static_sensor_accel_points_down(self):
         rng = np.random.default_rng(9)
         q = random_unit_quat(rng)
-        row = static_stream(q, 1)[0]
-        out = transform_sample(row, q)
-        assert np.allclose(out[0:3], [0, 0, -G0], atol=1e-9)
+        row = static_stream(q, 1)
+        out = transform_series(row, q[None])
+        assert np.allclose(out[0, 0:3], [0, 0, -G0], atol=1e-9)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(InvalidInputError):
-            transform_sample(np.zeros(8), [1, 0, 0, 0])
+            transform_series(np.zeros((1, 8)), [[1, 0, 0, 0]])
+        with pytest.raises(InvalidInputError):
+            transform_series(np.zeros((1, 9)), [[1, 0, 0]])
 
 
 class TestTransformSeries:
@@ -90,6 +105,25 @@ class TestTransformSeries:
         quats = np.tile([1.0, 0, 0, 0], (4, 1))
         out = transform_series(np.zeros((4, 9)), quats)
         assert out.shape == (4, GLOBAL_CHANNELS)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40))
+    def test_matches_per_row_rotation(self, seed, t):
+        rng = np.random.default_rng(seed)
+        series = rng.normal(scale=10.0, size=(t, 9))
+        quats = np.array([random_unit_quat(rng) for _ in range(t)]).reshape(t, 4)
+        out = transform_series(series, quats)
+        for i in range(t):
+            m = rotation_from_quaternion(quats[i])
+            for a in (0, 3, 6):
+                assert np.allclose(out[i, a:a + 3], m @ series[i, a:a + 3], rtol=0, atol=1e-12)
+        assert np.array_equal(out[:, 9:13], quats)
+
+    def test_non_unit_row_rejected(self):
+        quats = np.tile([1.0, 0, 0, 0], (5, 1))
+        quats[3] = [1.0, 0.01, 0, 0]
+        with pytest.raises(InvalidInputError):
+            transform_series(np.zeros((5, 9)), quats)
 
 
 class TestMcTransform:

@@ -6,6 +6,7 @@ import pytest
 from flowhar.autodiff import Tensor, softmax_cross_entropy
 from flowhar.dataset import Window
 from flowhar.errors import ConfigError, InvalidInputError
+from flowhar import trainer
 from flowhar.model import Adam, ModelConfig, init_params, params_by_prefix
 from flowhar.trainer import (
     TrainConfig,
@@ -196,6 +197,24 @@ class TestFit:
         assert len(log.records) == 4
         for rec in log.records:
             assert rec.loss_mvf1 > 0.0 and rec.loss_mvf2 > 0.0
+
+    def test_losses_average_over_steps_taken(self, monkeypatch):
+        # 9 windows at batch 8 make a batch of 8 and a batch of 1; phase 1
+        # skips the one-window batch, phase 2 trains on both.
+        returned = {1: [], 2: []}
+        for phase, fn in ((1, trainer.train_phase1), (2, trainer.train_phase2)):
+            def recording(*args, _fn=fn, _out=returned[phase]):
+                _out.append(_fn(*args))
+                return _out[-1]
+            monkeypatch.setattr(trainer, f"train_phase{phase}", recording)
+        cfg = ModelConfig(t=9, c=4, k=2, n=2, **TINY)
+        params = init_params(cfg, seed=1)
+        schema = ViewSchema(granularity="medium", views=((0, 1), (2, 3)))
+        tc = TrainConfig(epochs=1, batch_size=8, seed=0)
+        _, log = fit(self._windows(b=9), schema, params, cfg, tc)
+        assert len(returned[1]) == 1 and len(returned[2]) == 2
+        assert log.records[0].loss_mvf1 == returned[1][0]
+        assert log.records[0].loss_mvf2 == (returned[2][0] + returned[2][1]) / 2
 
     def test_toy_convergence_and_voting_quality(self):
         cfg = ModelConfig(t=9, c=4, k=2, n=2, dtype="float64", **TINY)
