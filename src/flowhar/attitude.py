@@ -45,18 +45,21 @@ def _require_unit(q, tol=1e-6):
     return q
 
 
+def _hamilton(aw, ax, ay, az, bw, bx, by, bz):
+    """Hamilton product components, on floats or elementwise on arrays."""
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
 def quat_multiply_raw(a, b):
     """Hamilton product without unit-norm checks (b may be a pure rate quaternion)."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
+    a = np.asarray(a, dtype=float).tolist()
+    b = np.asarray(b, dtype=float).tolist()
+    return np.array(_hamilton(*a, *b))
 
 
 def quat_multiply(a, b):
@@ -67,17 +70,21 @@ def quat_multiply(a, b):
     return quat_normalize(quat_multiply_raw(_require_unit(a), _require_unit(b)))
 
 
+def _rotation_entries(w, x, y, z):
+    """Row-major entries of the body-to-NED matrix of (w, x, y, z): the
+    quadratic form, on floats or elementwise on arrays."""
+    return (
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    )
+
+
 def _rotation(q):
     """Unchecked quadratic form: (4,) -> (3, 3), (t, 4) -> (t, 3, 3)."""
-    w, x, y, z = q.T
-    m = np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-    return m if q.ndim == 1 else m.transpose(2, 0, 1)
+    # One quaternion is done on Python floats, which cost less than NumPy scalars.
+    m = np.array(_rotation_entries(*(q.tolist() if q.ndim == 1 else q.T)))  # (9,) or (9, t)
+    return m.T.reshape(q.shape[:-1] + (3, 3))
 
 
 def rotation_from_quaternion(q):
@@ -197,37 +204,65 @@ class MahonyState:
     steps: int = 0
 
 
-def _mahony_update(q, integral, accel, gyro, mag, params):
-    """The filter update shared by mahony_step and mahony_run, without input
-    checks.  Returns the new (q, integral)."""
-    m_rot = _rotation(q)
-    err = np.zeros(3)
-    na = float(np.linalg.norm(accel))
+def _mahony_update(q, integral, row, params):
+    """The filter update shared by mahony_step and mahony_run, on Python
+    floats and without input checks.
+
+    q is (w, x, y, z), integral (x, y, z) and row the 9 sample values
+    [ax ay az mx my mz gx gy gz].  Returns the new (q, integral) as tuples.
+    Raises InvalidInputError when the updated quaternion's norm is zero or
+    not finite (a finite but huge gyro rate overflows it).
+    """
+    w, x, y, z = q
+    ax, ay, az, mx, my, mz, gx, gy, gz = row
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = _rotation_entries(w, x, y, z)
+    ex = ey = ez = 0.0
+    na = math.sqrt(ax * ax + ay * ay + az * az)
     if na > 0.0:
-        a_n = accel / na
-        g_b = m_rot.T @ np.array([0.0, 0.0, -1.0])  # specific-force direction
-        err += np.cross(a_n, g_b)
-    nm = float(np.linalg.norm(mag))
+        ax, ay, az = ax / na, ay / na, az / na
+        # err = a x g_b, where g_b = m_rot.T @ (0, 0, -1) = -(m20, m21, m22)
+        # is the expected specific-force direction
+        ex = az * m21 - ay * m22
+        ey = ax * m22 - az * m20
+        ez = ay * m20 - ax * m21
+    nm = math.sqrt(mx * mx + my * my + mz * mz)
     if nm > 0.0:
-        m_n = mag / nm
+        mx, my, mz = mx / nm, my / nm, mz / nm
         if params.mag_reference_handling == "auto":
-            h = m_rot @ m_n
-            b_ned = np.array([math.hypot(h[0], h[1]), 0.0, h[2]])
+            # h = m_rot @ m with its horizontal part turned onto north
+            bn = math.hypot(m00 * mx + m01 * my + m02 * mz, m10 * mx + m11 * my + m12 * mz)
+            bd = m20 * mx + m21 * my + m22 * mz
         else:
             inc = math.radians(params.fixed_inclination_deg)
-            b_ned = np.array([math.cos(inc), 0.0, math.sin(inc)])
-        nb = float(np.linalg.norm(b_ned))
+            bn, bd = math.cos(inc), math.sin(inc)
+        nb = math.sqrt(bn * bn + bd * bd)
         if nb > 0.0:
-            w_b = m_rot.T @ (b_ned / nb)
-            err += np.cross(m_n, w_b)
+            bn, bd = bn / nb, bd / nb
+            # err += m x w_b, with w_b = m_rot.T @ (bn, 0, bd)
+            wx = m00 * bn + m20 * bd
+            wy = m01 * bn + m21 * bd
+            wz = m02 * bn + m22 * bd
+            ex += my * wz - mz * wy
+            ey += mz * wx - mx * wz
+            ez += mx * wy - my * wx
 
     dt = 1.0 / params.sample_rate_hz
-    if params.ki > 0.0:
-        integral = integral + err * dt
-    omega = gyro + params.kp * err + params.ki * integral
+    kp, ki = params.kp, params.ki
+    if ki > 0.0:
+        integral = (integral[0] + ex * dt, integral[1] + ey * dt, integral[2] + ez * dt)
+    ox = gx + kp * ex + ki * integral[0]
+    oy = gy + kp * ey + ki * integral[1]
+    oz = gz + kp * ez + ki * integral[2]
 
-    dq = 0.5 * quat_multiply_raw(q, np.array([0.0, omega[0], omega[1], omega[2]]))
-    return quat_normalize(q + dq * dt), integral
+    dw, dx, dy, dz = _hamilton(w, x, y, z, 0.0, ox, oy, oz)
+    w += 0.5 * dw * dt
+    x += 0.5 * dx * dt
+    y += 0.5 * dy * dt
+    z += 0.5 * dz * dt
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n == 0.0 or not math.isfinite(n):
+        raise InvalidInputError("filter quaternion overflowed: sample too large")
+    return (w / n, x / n, y / n, z / n), integral
 
 
 def mahony_step(state, accel, gyro, mag, params):
@@ -241,30 +276,36 @@ def mahony_step(state, accel, gyro, mag, params):
     mag = np.asarray(mag, dtype=float)
     _check_finite(accel, gyro, mag)
     q = _require_unit(state.q)
-    q, integral = _mahony_update(q, state.integral_error, accel, gyro, mag, params)
-    return MahonyState(q=q, integral_error=integral, steps=state.steps + 1)
+    row = np.concatenate([accel, mag, gyro]).tolist()
+    q, integral = _mahony_update(
+        q.tolist(), np.asarray(state.integral_error, dtype=float).tolist(), row, params
+    )
+    return MahonyState(q=np.array(q), integral_error=np.array(integral), steps=state.steps + 1)
 
 
 def mahony_run(series, params):
     """Filter a whole 9-axis stream.
 
     series: (t, 9) array in channel order [ax ay az mx my mz gx gy gz].
-    Returns a (t, 4) array of unit quaternions, one per input sample, as a
-    loop of mahony_step would.  The first sample seeds the filter through
-    quat_from_accel_mag (identity on a degenerate pair).  No warm-up trimming
-    happens here.
+    Returns a (t, 4) array of unit quaternions, one per input sample, equal
+    bit for bit to a loop of mahony_step.  The first sample seeds the filter
+    through quat_from_accel_mag (identity on a degenerate pair).  The series
+    is checked once for shape and finiteness; the loop then runs the shared
+    update on Python floats, since NumPy's per-call cost on 3- and 4-element
+    arrays is many times the arithmetic.  A sample that overflows the
+    quaternion raises InvalidInputError.  No warm-up trimming happens here.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 2 or series.shape[1] != 9 or series.shape[0] == 0:
         raise InvalidInputError("series must be a non-empty (t, 9) array")
     _check_finite(series)
     try:
-        q = quat_from_accel_mag(series[0, 0:3], series[0, 3:6])
+        q = quat_from_accel_mag(series[0, 0:3], series[0, 3:6]).tolist()
     except (DegenerateInitError, InvalidInputError):
-        q = _IDENTITY.copy()
-    integral = np.zeros(3)
-    out = np.empty((series.shape[0], 4))
-    for i, row in enumerate(series):
-        q, integral = _mahony_update(q, integral, row[0:3], row[6:9], row[3:6], params)
-        out[i] = q
-    return out
+        q = _IDENTITY.tolist()
+    integral = (0.0, 0.0, 0.0)
+    out = []
+    for row in series.tolist():
+        q, integral = _mahony_update(q, integral, row, params)
+        out.append(q)
+    return np.array(out)

@@ -6,6 +6,7 @@ report emission.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import time
 from dataclasses import dataclass, field
@@ -95,6 +96,19 @@ class ExperimentReport:
     model_config: ModelConfig  # shared by every subject; what a checkpoint saves
 
 
+def _write_atomic(path, text):
+    """Write text through a temp file in the same directory, then os.replace
+    it onto path: a run killed mid-write leaves the old file or none, never
+    truncated JSON."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _evaluate_split(train_windows, test_windows, cfg, model_config, schema):
     params = init_params(model_config, cfg.train.seed)
     params, log = fit(train_windows, schema, params, model_config, cfg.train, test_windows)
@@ -161,10 +175,11 @@ def run_louo(recordings, cfg):
             )
             if marker is not None:
                 marker.parent.mkdir(parents=True, exist_ok=True)
-                marker.write_text(
+                _write_atomic(
+                    marker,
                     json.dumps(
                         {"accuracy": acc, "weighted_f1": f1, "confusion": cm.tolist()}
-                    )
+                    ),
                 )
         except FlowError as exc:
             rows.append(
@@ -219,7 +234,7 @@ def emit_report(report, out_dir):
             for r in report.rows
         ],
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
+    _write_atomic(out / "summary.json", json.dumps(summary, indent=2))
     written = [out / "summary.json"]
     for r in report.rows:
         if r.confusion is not None:

@@ -1,6 +1,7 @@
 """Quaternion algebra and Mahony filter tests against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
     static_stream,
 )
 from flowhar.attitude import (
+    G0,
     MahonyParams,
     MahonyState,
     mahony_run,
@@ -23,12 +25,53 @@ from flowhar.attitude import (
     quat_from_accel_mag,
     quat_from_rotation_matrix,
     quat_multiply,
+    quat_multiply_raw,
     quat_normalize,
 )
 from flowhar.errors import ConfigError, DegenerateInitError, InvalidInputError
 from flowhar.synth import SynthSpec, synth_generate
 
 S2 = math.sqrt(0.5)
+
+
+def mahony_run_numpy(series, params):
+    """mahony_run as it was, one NumPy update on 3- and 4-element arrays per
+    sample; the oracle for the float update."""
+    series = np.asarray(series, dtype=float)
+    try:
+        q = quat_from_accel_mag(series[0, 0:3], series[0, 3:6])
+    except (DegenerateInitError, InvalidInputError):
+        q = np.array([1.0, 0.0, 0.0, 0.0])
+    integral = np.zeros(3)
+    out = np.empty((series.shape[0], 4))
+    for i, row in enumerate(series):
+        accel, mag, gyro = row[0:3], row[3:6], row[6:9]
+        m_rot = quat_to_matrix(q)
+        err = np.zeros(3)
+        na = float(np.linalg.norm(accel))
+        if na > 0.0:
+            g_b = m_rot.T @ np.array([0.0, 0.0, -1.0])
+            err += np.cross(accel / na, g_b)
+        nm = float(np.linalg.norm(mag))
+        if nm > 0.0:
+            m_n = mag / nm
+            if params.mag_reference_handling == "auto":
+                h = m_rot @ m_n
+                b_ned = np.array([math.hypot(h[0], h[1]), 0.0, h[2]])
+            else:
+                inc = math.radians(params.fixed_inclination_deg)
+                b_ned = np.array([math.cos(inc), 0.0, math.sin(inc)])
+            nb = float(np.linalg.norm(b_ned))
+            if nb > 0.0:
+                err += np.cross(m_n, m_rot.T @ (b_ned / nb))
+        dt = 1.0 / params.sample_rate_hz
+        if params.ki > 0.0:
+            integral = integral + err * dt
+        omega = gyro + params.kp * err + params.ki * integral
+        dq = 0.5 * quat_multiply_raw(q, np.array([0.0, omega[0], omega[1], omega[2]]))
+        q = quat_normalize(q + dq * dt)
+        out[i] = q
+    return out
 
 
 class TestQuatMultiply:
@@ -179,6 +222,16 @@ class TestMahonyStep:
         with pytest.raises(InvalidInputError):
             mahony_step(MahonyState(), [np.inf, 0, 0], [0, 0, 0], [1, 0, 0], MahonyParams())
 
+    @pytest.mark.parametrize("rate", [1e300, -1e300, 1.7e308])
+    def test_huge_gyro_rejected(self, rate):
+        # Finite input whose update overflows the quaternion: InvalidInputError,
+        # not ZeroDivisionError, OverflowError or a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                mahony_step(MahonyState(), [0, 0, -G0], [rate, 0, 0], [1, 0, 0],
+                            MahonyParams())
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_convergence_property(self, seed):
@@ -249,6 +302,45 @@ class TestMahonyRun:
         series[row, col] = np.nan
         with pytest.raises(InvalidInputError):
             mahony_run(series, MahonyParams())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t=st.integers(1, 90),
+        kp=st.floats(0.1, 5.0),
+        ki=st.sampled_from([0.0, 0.05, 0.3]),
+        fixed=st.booleans(),
+        inclination=st.floats(-80.0, 80.0),
+    )
+    def test_matches_numpy_oracle(self, seed, t, kp, ki, fixed, inclination):
+        rng = np.random.default_rng(seed)
+        series = np.concatenate(
+            [
+                rng.normal(scale=2.0, size=(t, 3)) + [0.0, 0.0, -G0],
+                rng.normal(scale=0.3, size=(t, 3)) + [0.5, 0.0, 0.8],
+                rng.normal(scale=0.5, size=(t, 3)),
+            ],
+            axis=1,
+        )
+        off = rng.integers(0, 4, size=t)  # 1: accel off, 2: mag off, 3: both
+        series[off % 2 == 1, 0:3] = 0.0
+        series[off >= 2, 3:6] = 0.0
+        params = MahonyParams(
+            kp=kp, ki=ki, mag_reference_handling="fixed" if fixed else "auto",
+            fixed_inclination_deg=inclination,
+        )
+        out = mahony_run(series, params)
+        assert np.abs(out - mahony_run_numpy(series, params)).max() <= 1e-12
+
+    @pytest.mark.parametrize("row", [0, 7])
+    @pytest.mark.parametrize("rate", [1e300, -1e300, 1.7e308])
+    def test_huge_gyro_rejected(self, row, rate):
+        series = static_stream(np.array([1.0, 0, 0, 0]), 17)
+        series[row, 6] = rate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                mahony_run(series, MahonyParams())
 
     def test_degenerate_first_sample_falls_back_to_identity(self):
         series = static_stream(np.array([1.0, 0, 0, 0]), 5)

@@ -388,7 +388,47 @@ class TestDecimate:
             decimate(self._rec(10), 0)
 
 
+def segment_windows_scan(data, labels, valid, win_len, stride, label_map):
+    """Brute-force (start, label) list of the windows segment_windows keeps:
+    fully valid, finite, and a majority raw label that maps (ties go to the
+    smallest mapped class)."""
+    kept = []
+    for start in range(0, len(data) - win_len + 1, stride):
+        end = start + win_len
+        if not all(valid[start:end]) or not np.isfinite(data[start:end]).all():
+            continue
+        counts = {}
+        for code in labels[start:end].tolist():
+            counts[code] = counts.get(code, 0) + 1
+        top = max(counts.values())
+        mapped = [label_map[k] for k, n in counts.items() if n == top and k in label_map]
+        if mapped:
+            kept.append((start, min(mapped)))
+    return kept
+
+
 class TestSegmentWindows:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 40),
+        st.integers(1, 10),
+        st.integers(1, 8),
+        st.dictionaries(st.integers(0, 4), st.integers(0, 3)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force_scan(self, t, win_len, stride, label_map, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(t, 2))
+        data[rng.random(size=(t, 2)) < 0.03] = np.nan
+        labels = rng.integers(0, 5, size=t)
+        valid = rng.random(size=t) > 0.05
+        out = segment_windows(data, labels, valid, "s", win_len, stride, label_map)
+        expected = segment_windows_scan(data, labels, valid, win_len, stride, label_map)
+        assert [w.label for w in out] == [label for _, label in expected]
+        for w, (start, _) in zip(out, expected):
+            assert np.array_equal(w.data, data[start:start + win_len])
+            assert w.subject_id == "s"
+
     def test_window_count(self):
         data = np.zeros((100, 4))
         labels = np.zeros(100, dtype=int)

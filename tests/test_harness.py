@@ -1,5 +1,7 @@
 """Experiment orchestration tests: LOUO sweeps, ablation arms, reports."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,52 @@ class TestRunLouo:
         assert [r.accuracy for r in resumed.rows] == [r.accuracy for r in first.rows]
         # resumed rows come from markers: no training logs attached
         assert all(r.log is None for r in resumed.rows)
+
+
+class _Killed(BaseException):
+    """Stands in for the process dying mid-write."""
+
+
+def _kill_write_of(monkeypatch, name_part):
+    """Make Path.write_text die halfway through any file whose name contains
+    name_part, leaving the first half of the text on disk."""
+    real = pathlib.Path.write_text
+
+    def write_text(self, data, *args, **kwargs):
+        if name_part not in self.name:
+            return real(self, data, *args, **kwargs)
+        real(self, data[: len(data) // 2], *args, **kwargs)
+        raise _Killed
+
+    monkeypatch.setattr(pathlib.Path, "write_text", write_text)
+
+
+class TestAtomicWrites:
+    def test_killed_marker_write_leaves_no_marker(self, tmp_path, monkeypatch):
+        recs = tiny_population()
+        out = tmp_path / "sweep"
+        fresh = run_louo(recs, tiny_config())
+        with monkeypatch.context() as m:
+            _kill_write_of(m, "subject_u1")
+            with pytest.raises(_Killed):
+                run_louo(recs, tiny_config(output_dir=str(out)))
+        assert [p.name for p in out.iterdir()] == ["subject_u0.done.json"]
+        resumed = run_louo(recs, tiny_config(output_dir=str(out), resume=True))
+        assert resumed.rows[0].log is None  # from the complete marker
+        assert resumed.rows[1].log is not None  # redone
+        assert [r.accuracy for r in resumed.rows] == [r.accuracy for r in fresh.rows]
+
+    def test_killed_summary_write_keeps_previous(self, tmp_path, monkeypatch):
+        report = run_louo(tiny_population(), tiny_config())
+        out = tmp_path / "report"
+        emit_report(report, out)
+        before = load_summary(out)
+        with monkeypatch.context() as m:
+            _kill_write_of(m, "summary")
+            with pytest.raises(_Killed):
+                emit_report(report, out)
+        assert load_summary(out) == before
+        assert not list(out.glob("*.tmp"))
 
 
 class TestEmitReport:

@@ -172,3 +172,35 @@ class TestShuffleBatch:
             for j in range(n):
                 assert np.array_equal(shuffled[i, :, j], data[r[i, j], :, j])
                 assert view_labels[i, j] == labels[r[i, j]]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 3),
+        st.integers(1, 7),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_views_conserved_and_labels_follow_donor(self, b, t, c, seed):
+        # Random data, a random partition of a random subset of channels into
+        # views, and the donor of each output view block found by its content
+        # rather than read from r.
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(b, t, c))
+        labels = rng.integers(0, 5, size=b)
+        owner = rng.integers(-1, 3, size=c)  # -1: channel in no view
+        views = tuple(tuple(np.flatnonzero(owner == v).tolist()) for v in range(3))
+        schema = ViewSchema(granularity="medium", views=tuple(v for v in views if v))
+        if schema.n == 0:
+            return
+        r = gen_shuffle_matrix(b, schema.n, rng)
+        shuffled, view_labels = shuffle_batch(data, labels, schema, r)
+        unviewed = np.flatnonzero(owner == -1)
+        assert np.array_equal(shuffled[:, :, unviewed], data[:, :, unviewed])
+        for j, view in enumerate(schema.views):
+            ch = list(view)
+            before = sorted(block.tobytes() for block in data[:, :, ch])
+            after = sorted(block.tobytes() for block in shuffled[:, :, ch])
+            assert before == after
+            for i in range(b):
+                donors = [d for d in range(b) if np.array_equal(data[d][:, ch], shuffled[i][:, ch])]
+                assert len(donors) == 1 and view_labels[i, j] == labels[donors[0]]
