@@ -151,10 +151,13 @@ def quat_from_accel_mag(accel, mag):
     accel = np.asarray(accel, dtype=float)
     mag = np.asarray(mag, dtype=float)
     _check_finite(accel, mag)
-    na = float(np.linalg.norm(accel))
-    nm = float(np.linalg.norm(mag))
+    with np.errstate(over="ignore"):
+        na = float(np.linalg.norm(accel))
+        nm = float(np.linalg.norm(mag))
     if na == 0.0 or nm == 0.0:
         raise InvalidInputError("zero accelerometer or magnetometer vector")
+    if na == math.inf or nm == math.inf:
+        raise InvalidInputError("accelerometer or magnetometer vector too large")
     down_b = -accel / na
     m_n = mag / nm
     east_b = np.cross(down_b, m_n)
@@ -210,8 +213,9 @@ def _mahony_update(q, integral, row, params):
 
     q is (w, x, y, z), integral (x, y, z) and row the 9 sample values
     [ax ay az mx my mz gx gy gz].  Returns the new (q, integral) as tuples.
-    Raises InvalidInputError when the updated quaternion's norm is zero or
-    not finite (a finite but huge gyro rate overflows it).
+    Raises InvalidInputError when a finite but huge accel or mag sample
+    overflows its norm, or when the updated quaternion's norm is zero or not
+    finite (a finite but huge gyro rate overflows it).
     """
     w, x, y, z = q
     ax, ay, az, mx, my, mz, gx, gy, gz = row
@@ -219,6 +223,8 @@ def _mahony_update(q, integral, row, params):
     ex = ey = ez = 0.0
     na = math.sqrt(ax * ax + ay * ay + az * az)
     if na > 0.0:
+        if na == math.inf:
+            raise InvalidInputError("accelerometer sample too large")
         ax, ay, az = ax / na, ay / na, az / na
         # err = a x g_b, where g_b = m_rot.T @ (0, 0, -1) = -(m20, m21, m22)
         # is the expected specific-force direction
@@ -227,6 +233,8 @@ def _mahony_update(q, integral, row, params):
         ez = ay * m20 - ax * m21
     nm = math.sqrt(mx * mx + my * my + mz * mz)
     if nm > 0.0:
+        if nm == math.inf:
+            raise InvalidInputError("magnetometer sample too large")
         mx, my, mz = mx / nm, my / nm, mz / nm
         if params.mag_reference_handling == "auto":
             # h = m_rot @ m with its horizontal part turned onto north

@@ -1,9 +1,12 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Only the operations the network actually uses are provided: elementwise
-arithmetic, matmul, the three nonlinearities, shape ops, a 1-d valid
-convolution along the time axis, softmax, and a fused softmax cross-entropy.
-Graphs are built eagerly; backward() runs a topological sweep.
+arithmetic, matmul, the three nonlinearities, shape ops, concat, a 1-d valid
+convolution along the time axis, a whole LSTM layer as one op with its
+backprop through time written out, softmax, and a fused softmax
+cross-entropy.  Graphs are built eagerly; backward() runs a topological
+sweep.  An op whose inputs need no gradient records no graph, so a forward
+pass on detached parameters is plain NumPy plus one Tensor per op.
 """
 
 from __future__ import annotations
@@ -11,6 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
+
+
+def _sigmoid(a):
+    # For very negative a, exp(-a) overflows to inf and 1 / (1 + inf) gives
+    # the right limit, 0, so the overflow is harmless.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-a))
 
 
 def _unbroadcast(grad, shape):
@@ -137,10 +147,7 @@ class Tensor:
         return out
 
     def sigmoid(self):
-        # For very negative x, exp(-x) overflows to inf and 1 / (1 + inf)
-        # gives the right limit, 0, so the overflow is harmless.
-        with np.errstate(over="ignore"):
-            y = 1.0 / (1.0 + np.exp(-self.data))
+        y = _sigmoid(self.data)
         out = _node(y, (self,))
         if out._parents:
             out._backward = lambda g: self._accumulate(g * y * (1.0 - y))
@@ -290,5 +297,73 @@ def conv1d(x, w, b):
                 for kk in range(kernel):
                     gx[:, kk:kk + t_out, :] += gcols[:, :, kk, :]
                 x._accumulate(gx)
+        out._backward = backward
+    return out
+
+
+def lstm(x, wx, wh, b):
+    """One 4-gate LSTM layer over a whole sequence, from zero initial states.
+
+    x: (batch, t, in), wx: (in, 4 * hidden), wh: (hidden, 4 * hidden),
+    b: (4 * hidden,), gate order input, forget, cell, output.
+    Output: the hidden state of every step, (batch, t, hidden).
+
+    Each step computes z = x_t @ wx + h @ wh + b, then the gates, c and h,
+    with the same arithmetic in the same order as a graph of per-step
+    elementwise ops, so values and gradients equal that graph's bit for bit.
+    The backward pass is backprop through time from the last step to the
+    first; wx, wh and b take one step's gradient at a time, in that order.
+    """
+    xd, wxd, whd, bd = x.data, wx.data, wh.data, b.data
+    batch, steps, _ = xd.shape
+    hidden = whd.shape[0]
+    s1, s2, s3 = hidden, 2 * hidden, 3 * hidden
+    h = np.zeros((batch, hidden), dtype=xd.dtype)
+    c = np.zeros_like(h)
+    record = any(_needs_graph(t) for t in (x, wx, wh, b))
+    hs, cache = [], []
+    for step in range(steps):
+        z = xd[:, step, :] @ wxd + h @ whd + bd
+        i = _sigmoid(z[:, 0:s1])
+        f = _sigmoid(z[:, s1:s2])
+        g = np.tanh(z[:, s2:s3])
+        o = _sigmoid(z[:, s3:])
+        h_prev, c_prev = h, c
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        if record:
+            cache.append((h_prev, c_prev, i, f, g, o, tc))
+        hs.append(h)
+    out = _node(np.stack(hs, axis=1), (x, wx, wh, b))
+    if out._parents:
+        def backward(gout):
+            dx = np.empty_like(xd) if _needs_graph(x) else None
+            dh_rec = dc_rec = None
+            for step in range(steps - 1, -1, -1):
+                h_prev, c_prev, i, f, g, o, tc = cache[step]
+                dh = gout[:, step, :]
+                if dh_rec is not None:
+                    dh = dh + dh_rec
+                dc = (dh * o) * (1.0 - tc * tc)
+                if dc_rec is not None:
+                    dc = dc + dc_rec
+                dz = np.empty((batch, 4 * hidden), dtype=dc.dtype)
+                dz[:, 0:s1] = (dc * g) * i * (1.0 - i)
+                dz[:, s1:s2] = (dc * c_prev) * f * (1.0 - f)
+                dz[:, s2:s3] = (dc * i) * (1.0 - g * g)
+                dz[:, s3:] = (dh * tc) * o * (1.0 - o)
+                dh_rec = dz @ whd.T
+                dc_rec = dc * f
+                if dx is not None:
+                    dx[:, step, :] = dz @ wxd.T
+                if _needs_graph(wx):
+                    wx._accumulate(xd[:, step, :].T @ dz)
+                if _needs_graph(wh):
+                    wh._accumulate(h_prev.T @ dz)
+                if _needs_graph(b):
+                    b._accumulate(dz.sum(axis=0))
+            if dx is not None:
+                x._accumulate(dx)
         out._backward = backward
     return out

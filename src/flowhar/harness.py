@@ -5,11 +5,12 @@ report emission.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -109,6 +110,29 @@ def _write_atomic(path, text):
         raise
 
 
+def _result_key(cfg, model_config, windows):
+    """sha256 of everything that decides a subject's result: the settings
+    (mode, granularity, windowing, labels, training, filter and model
+    configs) and the built windows' data, labels and subjects."""
+    settings = {
+        "mode": cfg.mode,
+        "granularity": cfg.granularity,
+        "win_len": cfg.win_len,
+        "stride": cfg.stride,
+        "label_map": sorted(cfg.label_map.items()),
+        "num_classes": cfg.num_classes,
+        "train": asdict(cfg.train),
+        "mahony": asdict(cfg.mahony),
+        "model": asdict(model_config),
+    }
+    h = hashlib.sha256(json.dumps(settings, sort_keys=True).encode())
+    for w in windows:
+        h.update(np.ascontiguousarray(w.data).tobytes())
+    h.update(np.array([w.label for w in windows], dtype=np.int64).tobytes())
+    h.update(json.dumps([w.subject_id for w in windows]).encode())
+    return h.hexdigest()
+
+
 def _evaluate_split(train_windows, test_windows, cfg, model_config, schema):
     params = init_params(model_config, cfg.train.seed)
     params, log = fit(train_windows, schema, params, model_config, cfg.train, test_windows)
@@ -120,8 +144,9 @@ def run_louo(recordings, cfg):
     """Leave-one-user-out sweep over every target subject.
 
     A failure in one subject's pipeline records an error row and the sweep
-    continues.  With cfg.resume and an output dir, completed subjects are
-    skipped via on-disk marker files.
+    continues.  With an output dir, each completed subject leaves a marker
+    file keyed by _result_key; with cfg.resume, a subject whose marker has
+    this run's key is read back instead of trained, and any other is redone.
     """
     start_time = time.time()
     mode_spec = MODE_SPECS[cfg.mode]
@@ -145,13 +170,14 @@ def run_louo(recordings, cfg):
     )
     subjects = list(cfg.target_subjects) or sorted({w.subject_id for w in windows})
 
+    key = _result_key(cfg, model_config, windows) if cfg.output_dir else None
     rows = []
     for subject in subjects:
         marker = None
         if cfg.output_dir:
             marker = pathlib.Path(cfg.output_dir) / f"subject_{subject}.done.json"
-            if cfg.resume and marker.exists():
-                saved = json.loads(marker.read_text())
+            saved = json.loads(marker.read_text()) if cfg.resume and marker.exists() else {}
+            if saved.get("key") == key:
                 rows.append(
                     SubjectResult(
                         subject=subject,
@@ -178,7 +204,8 @@ def run_louo(recordings, cfg):
                 _write_atomic(
                     marker,
                     json.dumps(
-                        {"accuracy": acc, "weighted_f1": f1, "confusion": cm.tolist()}
+                        {"key": key, "accuracy": acc, "weighted_f1": f1,
+                         "confusion": cm.tolist()}
                     ),
                 )
         except FlowError as exc:

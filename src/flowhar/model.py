@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, conv1d, softmax, softmax_cross_entropy
+from .autodiff import Tensor, conv1d, lstm, softmax, softmax_cross_entropy
 from .errors import ConfigError, InvalidInputError
 
 
@@ -96,29 +96,6 @@ def set_normalization(params, data, eps=1e-6):
     params["norm.sigma"].data = (data.std(axis=(0, 1)) + eps).astype(dt)
 
 
-def _lstm_layer(xs, wx, wh, b, hidden):
-    """Standard 4-gate LSTM over a list of (batch, in) tensors.
-
-    Gate order in the fused weight matrix: input, forget, cell, output.
-    Returns the hidden state sequence.
-    """
-    batch = xs[0].shape[0]
-    dt = xs[0].dtype
-    h = Tensor(np.zeros((batch, hidden), dtype=dt))
-    c = Tensor(np.zeros((batch, hidden), dtype=dt))
-    out = []
-    for x in xs:
-        z = x @ wx + h @ wh + b
-        i = z[:, 0:hidden].sigmoid()
-        f = z[:, hidden:2 * hidden].sigmoid()
-        g = z[:, 2 * hidden:3 * hidden].tanh()
-        o = z[:, 3 * hidden:4 * hidden].sigmoid()
-        c = f * c + i * g
-        h = o * c.tanh()
-        out.append(h)
-    return out
-
-
 def backbone_forward(x, params, config):
     """(b, t, c) input -> (b, lstm_hidden) features.
 
@@ -133,17 +110,14 @@ def backbone_forward(x, params, config):
         x = (x - params["norm.mu"]) * Tensor(1.0 / params["norm.sigma"].data)
     for i in range(config.conv_layers):
         x = conv1d(x, params[f"backbone.conv{i}.w"], params[f"backbone.conv{i}.b"]).relu()
-    t_out = x.shape[1]
-    xs = [x[:, step, :] for step in range(t_out)]
     for i in range(config.lstm_layers):
-        xs = _lstm_layer(
-            xs,
+        x = lstm(
+            x,
             params[f"backbone.lstm{i}.wx"],
             params[f"backbone.lstm{i}.wh"],
             params[f"backbone.lstm{i}.b"],
-            config.lstm_hidden,
         )
-    return xs[-1]
+    return x[:, -1, :]
 
 
 def mvf_forward(features, params, config):

@@ -3,11 +3,13 @@
 Phase 1 shuffles the batch by view and trains the backbone + fusion layer,
 supervising group j's logits with the label of the sample that donated view
 j.  Phase 2 feeds the same batch unshuffled, freezes backbone + fusion, and
-trains only the voting network on the true labels.  Freezing is enforced by
-detaching the grouped logits, so the frozen stages see neither updates nor
-gradient accumulation.  A model without a voting net (the single-view
-baselines) trains phase 1 only; with one view covering every channel that
-is plain cross-entropy training.
+trains only the voting network on the true labels.  Freezing works through
+detached parameters: phase 2 runs the backbone and fusion layer on detached
+copies of their tensors, so those stages build no graph and see neither
+updates nor gradient accumulation.  Prediction runs every stage on detached
+parameters and builds no graph at all.  A model without a voting net (the
+single-view baselines) trains phase 1 only; with one view covering every
+channel that is plain cross-entropy training.
 """
 
 from __future__ import annotations
@@ -91,10 +93,15 @@ def train_phase1(data, labels, schema, params, config, opt, rng):
     return float(loss.data)
 
 
+def _detached(params):
+    return {name: t.detach() for name, t in params.items()}
+
+
 def train_phase2(data, labels, params, config, opt):
     """One unshuffled step on the voting net with backbone + MVF frozen."""
-    feats = backbone_forward(Tensor(data.astype(config.dtype)), params, config)
-    grouped = mvf_forward(feats, params, config).detach()
+    frozen = _detached(params)
+    feats = backbone_forward(Tensor(data.astype(config.dtype)), frozen, config)
+    grouped = mvf_forward(feats, frozen, config)
     logits = voting_forward(grouped, params, config)
     loss = softmax_cross_entropy(logits, labels)
     opt.zero_grad()
@@ -106,7 +113,7 @@ def train_phase2(data, labels, params, config, opt):
 def predict_batch(data, params, config):
     """Final class index per sample (argmax of the config's head; ties ->
     lowest) plus the grouped logits."""
-    logits, grouped = full_forward(data, params, config)
+    logits, grouped = full_forward(data, _detached(params), config)
     return np.argmax(logits.data, axis=1), grouped.data
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import attitude_error_deg, fd_grad, max_rel_err, static_stream
 from flowhar.attitude import G0, MahonyParams, mahony_run, quat_normalize
-from flowhar.autodiff import Tensor, concat, conv1d, softmax, softmax_cross_entropy
+from flowhar.autodiff import Tensor, concat, conv1d, lstm, softmax, softmax_cross_entropy
 from flowhar.globalview import mc_transform, rotation_from_quaternion
 from flowhar.harness import ExperimentConfig, run_louo
 from flowhar.metrics import accuracy, weighted_f1
@@ -164,6 +164,13 @@ def test_criterion_5_gradient_suite():
     cb = Tensor(np.random.default_rng(6).normal(size=(4,)))
     sel = Tensor(np.random.default_rng(7).normal(size=(3, 5)))
     labels34 = np.array([1, 0, 2])
+    # one LSTM layer, batch 2, 4 steps, 3 inputs, hidden 2; the probe weights
+    # every step's output so each input is checked through the full BPTT
+    lx = Tensor(np.random.default_rng(8).normal(size=(2, 4, 3)))
+    lwx = Tensor(np.random.default_rng(9).normal(size=(3, 8)))
+    lwh = Tensor(np.random.default_rng(10).normal(size=(2, 8)))
+    lb = Tensor(np.random.default_rng(11).normal(size=(8,)))
+    lprobe = Tensor(np.random.default_rng(12).normal(size=(2, 4, 2)))
     ops = [
         (lambda t: (t + 2.5).sum(), (3, 4)),
         (lambda t: (t * other).sum(), (3, 4)),
@@ -179,6 +186,10 @@ def test_criterion_5_gradient_suite():
         (lambda t: (softmax(t, axis=1) * sel).sum(), (3, 5)),
         (lambda t: softmax_cross_entropy(t, labels34), (3, 4)),
         (lambda t: conv1d(t, cw, cb).sum(), (2, 6, 2)),
+        (lambda t: (lstm(t, lwx, lwh, lb) * lprobe).sum(), (2, 4, 3)),
+        (lambda t: (lstm(lx, t, lwh, lb) * lprobe).sum(), (3, 8)),
+        (lambda t: (lstm(lx, lwx, t, lb) * lprobe).sum(), (2, 8)),
+        (lambda t: (lstm(lx, lwx, lwh, t) * lprobe).sum(), (8,)),
     ]
     for seed, (build, shape) in enumerate(ops, start=10):
         check(build, shape, seed)

@@ -154,6 +154,16 @@ class TestTriadInit:
         with pytest.raises(InvalidInputError):
             quat_from_accel_mag([0, 0, 0], [1, 0, 0])
 
+    @pytest.mark.parametrize("which", ["accel", "mag"])
+    def test_huge_vector_invalid(self, which):
+        # A finite vector whose norm overflows: InvalidInputError, no warning.
+        accel, mag = [0.0, 0.0, -9.81], [0.5, 0.0, 0.8]
+        (accel if which == "accel" else mag)[0] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                quat_from_accel_mag(accel, mag)
+
 
 class TestMahonyParams:
     def test_defaults(self):
@@ -231,6 +241,15 @@ class TestMahonyStep:
             with pytest.raises(InvalidInputError):
                 mahony_step(MahonyState(), [0, 0, -G0], [rate, 0, 0], [1, 0, 0],
                             MahonyParams())
+
+    @pytest.mark.parametrize("field", ["accel", "mag"])
+    def test_huge_accel_or_mag_rejected(self, field):
+        accel, mag = [0.0, 0.0, -G0], [0.5, 0.0, 0.8]
+        (accel if field == "accel" else mag)[1] = -1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                mahony_step(MahonyState(), accel, [0, 0, 0], mag, MahonyParams())
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -337,6 +356,19 @@ class TestMahonyRun:
     def test_huge_gyro_rejected(self, row, rate):
         series = static_stream(np.array([1.0, 0, 0, 0]), 17)
         series[row, 6] = rate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                mahony_run(series, MahonyParams())
+
+    @pytest.mark.parametrize("row", [0, 3])
+    @pytest.mark.parametrize("column", [0, 2, 3, 5])
+    @pytest.mark.parametrize("value", [1e300, -1e300, 1.7e308])
+    def test_huge_accel_or_mag_rejected(self, row, column, value):
+        # A finite accel or mag sample whose norm overflows must raise, not
+        # warn (first row) or silently drop that correction (later rows).
+        series = static_stream(np.array([1.0, 0, 0, 0]), 5)
+        series[row, column] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError):

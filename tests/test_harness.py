@@ -176,6 +176,30 @@ class TestRunLouo:
         # resumed rows come from markers: no training logs attached
         assert all(r.log is None for r in resumed.rows)
 
+    @pytest.mark.parametrize("change", [
+        dict(train=TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=4)),
+        dict(train=TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=3)),
+        dict(mode="vL_only"),
+    ], ids=["seed", "epochs", "mode"])
+    def test_resume_redoes_markers_of_another_config(self, tmp_path, change):
+        recs = tiny_population()
+        out = tmp_path / "sweep"
+        run_louo(recs, tiny_config(output_dir=str(out)))
+        resumed = run_louo(recs, tiny_config(output_dir=str(out), resume=True, **change))
+        assert all(r.log is not None for r in resumed.rows)  # trained, not read back
+        fresh = run_louo(recs, tiny_config(**change))
+        assert [r.accuracy for r in resumed.rows] == [r.accuracy for r in fresh.rows]
+        # the redone markers now carry this config's key
+        again = run_louo(recs, tiny_config(output_dir=str(out), resume=True, **change))
+        assert all(r.log is None for r in again.rows)
+
+    def test_resume_redoes_markers_of_other_data(self, tmp_path):
+        out = tmp_path / "sweep"
+        run_louo(tiny_population(seed=11), tiny_config(output_dir=str(out)))
+        resumed = run_louo(tiny_population(seed=12),
+                           tiny_config(output_dir=str(out), resume=True))
+        assert all(r.log is not None for r in resumed.rows)
+
 
 class _Killed(BaseException):
     """Stands in for the process dying mid-write."""

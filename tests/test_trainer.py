@@ -156,6 +156,47 @@ class TestPredict:
         assert np.all(preds == 0)
 
 
+def _recording(monkeypatch, name):
+    """Patch trainer.<name> to keep every result it returns."""
+    results = []
+    fn = getattr(trainer, name)
+
+    def wrapper(*args):
+        results.append(fn(*args))
+        return results[-1]
+    monkeypatch.setattr(trainer, name, wrapper)
+    return results
+
+
+class TestNoGraph:
+    def test_predict_batch_builds_no_graph(self, monkeypatch):
+        cfg, params, data, _, _ = tiny_setup()
+        returned = _recording(monkeypatch, "full_forward")
+        predict_batch(data, params, cfg)
+        logits, grouped = returned[0]
+        assert logits._parents == () and grouped._parents == ()
+        assert all(t.grad is None for t in params.values())
+
+    def test_phase2_graph_only_on_voting_net(self, monkeypatch):
+        cfg, params, data, labels, _ = tiny_setup()
+        feats = _recording(monkeypatch, "backbone_forward")
+        grouped = _recording(monkeypatch, "mvf_forward")
+        train_phase2(data, labels, params, cfg, Adam(params_by_prefix(params, "voting.")))
+        assert feats[0]._parents == () and grouped[0]._parents == ()
+        for name, t in params.items():
+            assert (t.grad is not None) == name.startswith("voting."), name
+
+    def test_phase2_after_phase1_keeps_phase1_grads(self):
+        cfg, params, data, labels, schema = tiny_setup()
+        opt1 = Adam(params_by_prefix(params, "backbone.", "mvf."))
+        train_phase1(data, labels, schema, params, cfg, opt1, np.random.default_rng(0))
+        grads = {k: t.grad.copy() for k, t in params.items() if t.grad is not None}
+        assert grads and not any(k.startswith("voting.") for k in grads)
+        train_phase2(data, labels, params, cfg, Adam(params_by_prefix(params, "voting.")))
+        for name, g in grads.items():
+            assert np.array_equal(params[name].grad, g), name
+
+
 class TestFit:
     def _windows(self, b=12, t=9, c=4, k=2, seed=0):
         rng = np.random.default_rng(seed)
