@@ -27,7 +27,7 @@ from .harness import ExperimentConfig, emit_report, run_louo
 from .metrics import accuracy, confusion, weighted_f1
 from .model import Adam, ModelConfig, init_params, load_checkpoint, save_checkpoint
 from .synth import SynthSpec, synth_generate, synth_population
-from .trainer import TrainConfig, fit, predict, train_phase1, train_phase2
+from .trainer import TrainConfig, fit, train_phase1, train_phase2
 from .views import ChannelLayout, ViewSchema, build_schema, gen_shuffle_matrix, shuffle_batch
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ from .errors import ConfigError, DegenerateInitError, InvalidInputError
 G0 = 9.80665  # standard gravity, m/s^2
 
 _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+_UNIT_TOL = 1e-6  # how far from 1 a quaternion's norm may be and still count as unit
 
 
 def _check_finite(*arrays):
@@ -37,10 +38,10 @@ def quat_normalize(q):
     return q / n
 
 
-def _require_unit(q, tol=1e-6):
+def _require_unit(q):
     q = np.asarray(q, dtype=float)
     # A NaN or infinite component fails the comparison as well.
-    if not (np.abs((q * q).sum(-1) - 1.0) <= 2.0 * tol).all():
+    if not (np.abs((q * q).sum(-1) - 1.0) <= 2.0 * _UNIT_TOL).all():
         raise InvalidInputError("quaternion is not finite and unit-norm")
     return q
 
@@ -204,7 +205,6 @@ class MahonyParams:
 class MahonyState:
     q: np.ndarray = field(default_factory=lambda: _IDENTITY.copy())
     integral_error: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    steps: int = 0
 
 
 def _mahony_update(q, integral, row, params):
@@ -288,7 +288,7 @@ def mahony_step(state, accel, gyro, mag, params):
     q, integral = _mahony_update(
         q.tolist(), np.asarray(state.integral_error, dtype=float).tolist(), row, params
     )
-    return MahonyState(q=np.array(q), integral_error=np.array(integral), steps=state.steps + 1)
+    return MahonyState(q=np.array(q), integral_error=np.array(integral))
 
 
 def mahony_run(series, params):

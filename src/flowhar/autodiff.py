@@ -62,11 +62,9 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += grad
 
-    def backward(self, grad=None):
-        if grad is None:
-            if self.data.size != 1:
-                raise InvalidInputError("backward() without a gradient needs a scalar output")
-            grad = np.ones_like(self.data)
+    def backward(self):
+        if self.data.size != 1:
+            raise InvalidInputError("backward() needs a scalar output")
         topo = []
         seen = set()
         stack = [(self, False)]
@@ -82,7 +80,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.asarray(grad, dtype=self.data.dtype))
+        self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)

@@ -37,7 +37,11 @@ from .views import GRANULARITIES
 
 def _read_config_file(path):
     values = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    with fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -57,8 +61,10 @@ def _apply_config_defaults(parser, argv):
     """
     if "--config" not in argv:
         return
-    path = argv[argv.index("--config") + 1]
-    raw = _read_config_file(path)
+    at = argv.index("--config") + 1
+    if at == len(argv):
+        raise ConfigError("--config needs a file path")
+    raw = _read_config_file(argv[at])
     targets = [parser]
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
@@ -71,7 +77,11 @@ def _apply_config_defaults(parser, argv):
             if action.dest in raw:
                 value = raw[action.dest]
                 if action.type is not None:
-                    value = action.type(value)
+                    try:
+                        value = action.type(value)
+                    except ValueError as exc:
+                        raise ConfigError(f"{action.dest} = {value!r} is not a valid "
+                                          f"{action.type.__name__}") from exc
                 elif isinstance(action.default, bool):
                     value = value.lower() in ("1", "true", "yes")
                 defaults[action.dest] = value
@@ -103,7 +113,7 @@ def cmd_transform(args):
             + "\n"
         )
         for rec in recordings:
-            matrix, labels, _, _ = ds.assemble_channels(rec, "concat", params)
+            matrix, labels, _ = ds.assemble_channels(rec, "concat", params)
             for label, values in zip(labels, matrix):
                 row = [rec.subject_id, str(label), *(f"{v:.9g}" for v in values)]
                 fh.write(" ".join(row) + "\n")
@@ -112,10 +122,14 @@ def cmd_transform(args):
 
 
 def cmd_synth(args):
-    axis = np.array([float(v) for v in args.mounting_axis.split(",")])
+    try:
+        axis = np.array([float(v) for v in args.mounting_axis.split(",")])
+    except ValueError:
+        axis = np.zeros(0)
     norm = np.linalg.norm(axis)
-    if norm == 0:
-        raise ConfigError("mounting axis must be nonzero")
+    if axis.shape != (3,) or not 0.0 < norm < math.inf:
+        raise ConfigError(f"mounting axis must be three finite numbers x,y,z, not all zero; "
+                          f"got {args.mounting_axis!r}")
     half = math.radians(args.mounting_angle_deg) / 2.0
     mounting = (math.cos(half), *(math.sin(half) * axis / norm))
     spec = SynthSpec(
@@ -310,11 +324,14 @@ def main(argv=None):
         override = os.environ.get("FLOWHAR_OUTPUT_DIR")
         if override and hasattr(args, "out"):
             args.out = override
+        # segment_windows would reject it too, but as a runtime failure (exit 3).
+        if getattr(args, "stride", 1) < 1:
+            raise ConfigError("stride must be >= 1")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: a file that cannot be opened
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except FlowError as exc:

@@ -25,10 +25,6 @@ from .errors import (
 )
 from .globalview import mc_transform
 
-# Channel order inside a 9-axis sensor block, matching the wire layout
-# [ax ay az mx my mz gx gy gz].
-SENSOR_GROUPS = ("accel", "mag", "gyro")
-
 
 @dataclass(frozen=True)
 class SensorColumns:
@@ -331,14 +327,14 @@ def assemble_channels(rec, mode, mahony_params=None):
     (local block then global block per sensor, 22 channels, sensor-major).
     Global modes run M&C per sensor and trim the shared warm-up prefix from
     labels and the validity mask as well.
-    Returns (matrix, labels, valid, sample_rate_hz).
+    Returns (matrix, labels, valid).
     """
     if mode not in ("local", "global", "concat"):
         raise ConfigError(f"unknown channel mode {mode!r}")
     names = list(rec.sensors)
     if mode == "local":
         matrix = np.concatenate([rec.sensors[n] for n in names], axis=1)
-        return matrix, rec.labels.copy(), rec.valid.copy(), rec.sample_rate_hz
+        return matrix, rec.labels.copy(), rec.valid.copy()
 
     if mahony_params is None:
         mahony_params = MahonyParams(sample_rate_hz=rec.sample_rate_hz)
@@ -354,7 +350,7 @@ def assemble_channels(rec, mode, mahony_params=None):
         else:
             blocks.append(np.concatenate([res.local, res.global_], axis=1))
     matrix = np.concatenate(blocks, axis=1)
-    return matrix, rec.labels[trim:].copy(), rec.valid[trim:].copy(), rec.sample_rate_hz
+    return matrix, rec.labels[trim:].copy(), rec.valid[trim:].copy()
 
 
 def build_windows(recordings, mode, win_len, stride, label_map, mahony_params=None):
@@ -365,7 +361,7 @@ def build_windows(recordings, mode, win_len, stride, label_map, mahony_params=No
     """
     windows = []
     for rec in recordings:
-        matrix, labels, valid, _ = assemble_channels(rec, mode, mahony_params)
+        matrix, labels, valid = assemble_channels(rec, mode, mahony_params)
         windows.extend(
             segment_windows(matrix, labels, valid, rec.subject_id, win_len, stride, label_map)
         )

@@ -46,8 +46,7 @@ class McResult:
     """Aligned local/global streams after warm-up trimming."""
 
     local: np.ndarray  # (t', 9)
-    global_: np.ndarray  # (t', 13)
-    quats: np.ndarray  # (t', 4)
+    global_: np.ndarray  # (t', 13); columns 9:13 are the attitude quaternions
     trimmed: int  # samples dropped from the front
 
 
@@ -70,6 +69,5 @@ def mc_transform(series, params):
     return McResult(
         local=series[trim:].copy(),
         global_=global_[trim:],
-        quats=quats[trim:],
         trimmed=trim,
     )

@@ -18,6 +18,9 @@ import numpy as np
 from .autodiff import Tensor, conv1d, lstm, softmax, softmax_cross_entropy
 from .errors import ConfigError, InvalidInputError
 
+NORM_EPS = 1e-6  # added to each channel's std so a constant channel divides by > 0
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -89,11 +92,11 @@ def init_params(config, seed):
     return params
 
 
-def set_normalization(params, data, eps=1e-6):
+def set_normalization(params, data):
     """Freeze per-channel mean/std of `data` (b, t, c) into the params."""
     dt = params["norm.mu"].data.dtype
     params["norm.mu"].data = data.mean(axis=(0, 1)).astype(dt)
-    params["norm.sigma"].data = (data.std(axis=(0, 1)) + eps).astype(dt)
+    params["norm.sigma"].data = (data.std(axis=(0, 1)) + NORM_EPS).astype(dt)
 
 
 def backbone_forward(x, params, config):
@@ -159,12 +162,9 @@ def full_forward(x, params, config):
 class Adam:
     """Standard Adam with bias correction over a fixed parameter list."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -179,11 +179,11 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1 - self.beta2 ** self.t)
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g * g
+            m_hat = self.m[i] / (1 - ADAM_BETA1 ** self.t)
+            v_hat = self.v[i] / (1 - ADAM_BETA2 ** self.t)
+            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype)
 
 
 def params_by_prefix(params, *prefixes):

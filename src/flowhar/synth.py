@@ -20,6 +20,7 @@ from .errors import ConfigError, InvalidInputError
 from .globalview import rotation_from_quaternion
 
 IDENTITY_QUAT = (1.0, 0.0, 0.0, 0.0)
+_MOUNTING_TRIES = 1000  # random draws before _distinct_mountings gives up
 
 
 @dataclass(frozen=True)
@@ -131,9 +132,9 @@ def random_unit_quaternion(rng):
     return quat_normalize(rng.normal(size=4))
 
 
-def _distinct_mountings(num, rng, min_separation_deg=10.0, max_tries=1000):
+def _distinct_mountings(num, rng, min_separation_deg):
     mountings = []
-    for _ in range(max_tries):
+    for _ in range(_MOUNTING_TRIES):
         cand = random_unit_quaternion(rng)
         if all(
             math.degrees(quat_angle(cand, m)) >= min_separation_deg for m in mountings
@@ -179,15 +180,5 @@ def synth_population(num_users, activities, rng_seed=0, min_separation_deg=10.0,
                     template, mounting=tuple(mount), initial_orientation=heading
                 )
                 rec, _ = synth_generate(spec, rng)
-                recordings.append(replace_subject(rec, f"u{u}"))
+                recordings.append(replace(rec, subject_id=f"u{u}"))
     return recordings
-
-
-def replace_subject(rec, subject_id):
-    return Recording(
-        subject_id=subject_id,
-        sensors=rec.sensors,
-        labels=rec.labels,
-        valid=rec.valid,
-        sample_rate_hz=rec.sample_rate_hz,
-    )

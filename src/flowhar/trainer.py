@@ -32,6 +32,8 @@ from .model import (
 )
 from .views import gen_shuffle_matrix, shuffle_batch
 
+EVAL_BATCH = 256  # windows per predict_batch call in evaluate; bounds its memory
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -39,7 +41,6 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 1e-3
     seed: int = 0
-    checkpoint_every: int = 0  # epochs; 0 disables periodic checkpoints
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -117,24 +118,19 @@ def predict_batch(data, params, config):
     return np.argmax(logits.data, axis=1), grouped.data
 
 
-def predict(window_data, params, config):
-    pred, _ = predict_batch(window_data[None, ...], params, config)
-    return int(pred[0])
-
-
 def _iter_batches(n, batch_size, rng):
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]
 
 
-def evaluate(data, labels, params, config, batch_size=256):
+def evaluate(data, labels, params, config):
     """Overall accuracy, per-view group accuracies and the k x k confusion
     matrix of the overall predictions."""
     preds = []
     view_correct = np.zeros(config.n)
-    for start in range(0, len(labels), batch_size):
-        sl = slice(start, start + batch_size)
+    for start in range(0, len(labels), EVAL_BATCH):
+        sl = slice(start, start + EVAL_BATCH)
         batch_preds, grouped = predict_batch(data[sl], params, config)
         preds.append(batch_preds)
         group_preds = grouped.argmax(axis=2)
@@ -143,8 +139,7 @@ def evaluate(data, labels, params, config, batch_size=256):
     return accuracy(cm), (view_correct / len(labels)).tolist(), cm
 
 
-def fit(train_windows, schema, params, model_config, train_config,
-        test_windows=None, checkpoint_fn=None):
+def fit(train_windows, schema, params, model_config, train_config, test_windows=None):
     """Full training loop: for every batch, phase 1 then (when the model has
     a voting net) phase 2.
 
@@ -188,10 +183,4 @@ def fit(train_windows, schema, params, model_config, train_config,
             (record.test_accuracy, record.test_view_accuracy,
              record.test_confusion) = evaluate(test[0], test[1], params, model_config)
         log.records.append(record)
-        if (
-            checkpoint_fn is not None
-            and train_config.checkpoint_every
-            and (epoch + 1) % train_config.checkpoint_every == 0
-        ):
-            checkpoint_fn(epoch, params)
     return params, log

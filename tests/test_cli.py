@@ -84,6 +84,12 @@ class TestSynth:
                      "--output", str(tmp_path / "x")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis", ["1,x", "1,0", "1,0,0,0", "nan,0,1", "0,0,0"])
+    def test_bad_mounting_axis_exits_1(self, tmp_path, capsys, axis):
+        assert main(["synth", "--mounting-axis", axis,
+                     "--output", str(tmp_path / "x")]) == 1
+        assert "config error: mounting axis must be three" in capsys.readouterr().err
+
 
 class TestTransform:
     def test_static_recording_columns(self, tmp_path):
@@ -217,3 +223,68 @@ class TestLouoReport:
         assert code == 0
         assert (env_dir / "summary.json").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestBadInput:
+    """Bad files and values exit with the documented code and no traceback."""
+
+    def _argv(self, command, spec, files, ckpt=None):
+        if command == "eval":
+            return ["eval", "--spec", str(spec), "--data", *files,
+                    "--checkpoint", str(ckpt), "--stride", "16"]
+        return [command, "--spec", str(spec), "--data", *files, "--mode", "vL_only",
+                "--target", "0", "--win-len", "32", "--stride", "16",
+                "--epochs", "1", "--batch", "8"]
+
+    def _checkpoint(self, tmp_path):
+        ckpt = tmp_path / "model.npz"
+        cfg = ModelConfig(t=32, c=9, k=2, n=1, voting=False, conv_filters=2,
+                          lstm_hidden=4, voting_hidden=4)
+        save_checkpoint(ckpt, cfg, init_params(cfg, seed=0), seed=0, mode="vL_only")
+        return ckpt
+
+    @pytest.mark.parametrize("unreadable", ["missing", "directory"])
+    @pytest.mark.parametrize("command, which", [
+        ("louo", "data"), ("louo", "spec"),
+        ("eval", "data"), ("eval", "spec"), ("eval", "checkpoint"),
+    ])
+    def test_unreadable_file_exits_2(self, corpus, tmp_path, capsys,
+                                     command, which, unreadable):
+        spec, files = corpus
+        ckpt = self._checkpoint(tmp_path)
+        bad = tmp_path / "nope" if unreadable == "missing" else tmp_path
+        if which == "data":
+            files = [*files, str(bad)]
+        elif which == "spec":
+            spec = bad
+        else:
+            ckpt = bad
+        assert main(self._argv(command, spec, files, ckpt)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"'{bad}'" in err
+
+    def test_config_without_value_exits_1(self, corpus, capsys):
+        spec, files = corpus
+        assert main([*self._argv("louo", spec, files), "--config"]) == 1
+        assert "config error: --config needs a file path" in capsys.readouterr().err
+
+    def test_missing_config_file_exits_1(self, corpus, tmp_path, capsys):
+        spec, files = corpus
+        cfg = tmp_path / "nope.cfg"
+        assert main([*self._argv("louo", spec, files), "--config", str(cfg)]) == 1
+        assert f"config error: cannot read config file {cfg}" in capsys.readouterr().err
+
+    def test_config_value_of_wrong_type_exits_1(self, corpus, tmp_path, capsys):
+        spec, files = corpus
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("epochs = abc\n")
+        assert main(["louo", "--spec", str(spec), "--data", *files,
+                     "--config", str(cfg)]) == 1
+        assert "config error: epochs = 'abc' is not a valid int" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["louo", "train", "eval"])
+    def test_stride_zero_exits_1(self, corpus, tmp_path, capsys, command):
+        spec, files = corpus
+        argv = self._argv(command, spec, files, self._checkpoint(tmp_path))
+        assert main([*argv, "--stride", "0"]) == 1
+        assert "config error: stride must be >= 1" in capsys.readouterr().err

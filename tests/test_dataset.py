@@ -507,19 +507,19 @@ class TestAssembleChannels:
 
     def test_local_layout(self):
         rec = self._rec()
-        matrix, labels, valid, rate = assemble_channels(rec, "local")
+        matrix, labels, valid = assemble_channels(rec, "local")
         assert matrix.shape == (120, 18)
-        assert len(labels) == 120 and rate == 30.0
+        assert len(labels) == 120 and len(valid) == 120
 
     def test_global_layout_trims(self):
         rec = self._rec()
-        matrix, labels, valid, _ = assemble_channels(rec, "global")
+        matrix, labels, valid = assemble_channels(rec, "global")
         assert matrix.shape == (90, 26)
         assert len(labels) == 90 and len(valid) == 90
 
     def test_concat_layout(self):
         rec = self._rec()
-        matrix, _, _, _ = assemble_channels(rec, "concat")
+        matrix, _, _ = assemble_channels(rec, "concat")
         assert matrix.shape == (90, 44)
         # sensor-major, local block before global block
         assert np.allclose(matrix[:, 0:9], rec.sensors["a"][30:])
@@ -532,7 +532,7 @@ class TestAssembleChannels:
         # A params object built for a different rate must not break the trim.
         rec = self._rec()
         params = MahonyParams(sample_rate_hz=100.0, warmup_seconds=1.0)
-        matrix, _, _, _ = assemble_channels(rec, "global", params)
+        matrix, _, _ = assemble_channels(rec, "global", params)
         assert matrix.shape[0] == 90  # trim = 30 samples at the recording's 30 Hz
 
 

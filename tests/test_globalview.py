@@ -133,7 +133,6 @@ class TestMcTransform:
         assert res.trimmed == 30
         assert res.local.shape == (270, LOCAL_CHANNELS)
         assert res.global_.shape == (270, GLOBAL_CHANNELS)
-        assert res.quats.shape == (270, 4)
 
     def test_too_short_stream(self):
         series = static_stream(np.array([1.0, 0, 0, 0]), 30)

@@ -60,7 +60,7 @@ class TestSynthGenerate:
         res = mc_transform(rec.sensors["imu0"], MahonyParams(sample_rate_hz=30.0))
         errors = [
             attitude_error_deg(q_est, q_true)
-            for q_est, q_true in zip(res.quats, truth[res.trimmed:])
+            for q_est, q_true in zip(res.global_[:, 9:13], truth[res.trimmed:])
         ]
         assert max(errors) < 3.0
 

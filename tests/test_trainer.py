@@ -12,7 +12,6 @@ from flowhar.trainer import (
     TrainConfig,
     evaluate,
     fit,
-    predict,
     predict_batch,
     stack_windows,
     train_phase1,
@@ -145,7 +144,9 @@ class TestPredict:
 
     def test_single_window(self):
         cfg, params, data, _, _ = tiny_setup()
-        assert predict(data[0], params, cfg) in (0, 1)
+        preds, grouped = predict_batch(data[:1], params, cfg)
+        assert preds.shape == (1,) and preds[0] in (0, 1)
+        assert grouped.shape == (1, cfg.n, cfg.k)
 
     def test_tie_breaks_to_lowest(self):
         # force identical logits for every class
@@ -270,16 +271,6 @@ class TestFit:
         assert cm.sum() == len(labels) and np.trace(cm) == round(acc * len(labels))
         # voting must not destroy the best single view's signal
         assert acc >= max(view_acc) - 0.02
-
-    def test_checkpoint_cadence(self):
-        cfg = ModelConfig(t=9, c=4, k=2, n=2, **TINY)
-        params = init_params(cfg, seed=1)
-        schema = ViewSchema(granularity="medium", views=((0, 1), (2, 3)))
-        seen = []
-        tc = TrainConfig(epochs=4, batch_size=4, seed=0, checkpoint_every=2)
-        fit(self._windows(), schema, params, cfg, tc,
-            checkpoint_fn=lambda epoch, p: seen.append(epoch))
-        assert seen == [1, 3]
 
 
 class TestEvaluate:
