@@ -189,14 +189,17 @@ class MahonyParams:
     warmup_seconds: float = 1.0
 
     def __post_init__(self):
-        if self.kp <= 0.0:
-            raise ConfigError("kp must be positive")
-        if self.ki < 0.0:
-            raise ConfigError("ki must be non-negative")
-        if self.sample_rate_hz <= 0.0:
-            raise ConfigError("sample_rate_hz must be positive")
-        if self.warmup_seconds < 0.0:
-            raise ConfigError("warmup_seconds must be non-negative")
+        # Written as ranges so that NaN, which compares false, fails them.
+        if not 0.0 < self.kp < math.inf:
+            raise ConfigError("kp must be positive and finite")
+        if not 0.0 <= self.ki < math.inf:
+            raise ConfigError("ki must be non-negative and finite")
+        if not 0.0 < self.sample_rate_hz < math.inf:
+            raise ConfigError("sample_rate_hz must be positive and finite")
+        if not math.isfinite(self.fixed_inclination_deg):
+            raise ConfigError("fixed_inclination_deg must be finite")
+        if not 0.0 <= self.warmup_seconds < math.inf:
+            raise ConfigError("warmup_seconds must be non-negative and finite")
         if self.mag_reference_handling not in ("auto", "fixed"):
             raise ConfigError("mag_reference_handling must be 'auto' or 'fixed'")
 

@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands: transform, synth, train, eval, louo, report.  Every option can
-also come from a key=value config file passed with --config; explicit flags
-win over the file.  FLOWHAR_OUTPUT_DIR overrides any output directory
-option.  Exit codes: 0 success, 1 configuration error, 2 data error, 3
-runtime failure.
+also come from a key = value file passed with --config; its lines are parsed
+as long options ahead of the explicit flags, which win.  FLOWHAR_OUTPUT_DIR
+overrides any output directory option.  Exit codes: 0 success, 1 usage or
+configuration error, 2 data error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ import argparse
 import json
 import math
 import os
+import shlex
 import sys
 
 import numpy as np
 
 from . import dataset as ds
 from .attitude import MahonyParams
-from .errors import ConfigError, DataError, FlowError
+from .errors import ConfigError, DataError, FlowError, ParseError
 from .harness import (
     MODE_SPECS,
     MODES,
@@ -35,57 +36,51 @@ from .trainer import TrainConfig, evaluate, stack_windows
 from .views import GRANULARITIES
 
 
-def _read_config_file(path):
-    values = {}
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are config errors (exit 1)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _config_argv(path):
+    """The lines of a --config file as long options: `key = a b` becomes
+    `--key a b` (values split like a shell); `resume = true` becomes
+    `--resume` and `resume = false` nothing."""
     try:
-        fh = open(path)
+        entries = ds.read_key_values(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
-    with fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"config line without '=': {line!r}")
-            key, val = (p.strip() for p in line.split("=", 1))
-            values[key.replace("-", "_")] = val
-    return values
+    except ParseError as exc:
+        raise ConfigError(f"{path} line {exc.line_no}: {exc}") from exc
+    argv = []
+    for line_no, key, value in entries:
+        option = "--" + key.replace("_", "-")
+        try:
+            values = shlex.split(value)
+        except ValueError as exc:  # an unclosed quote
+            raise ConfigError(f"{path} line {line_no}: {exc}") from exc
+        if option != "--resume":
+            argv += [option, *values]
+        elif values == ["true"]:
+            argv.append(option)
+        elif values != ["false"]:
+            raise ConfigError(f"{path} line {line_no}: resume = {value!r} must be true or false")
+    return argv
 
 
-def _apply_config_defaults(parser, argv):
-    """Pre-scan argv for --config and feed its values to the parser.
-
-    Options live on the subcommand parsers, so the defaults are applied to
-    the subparser named by the first positional argument as well.
-    """
-    if "--config" not in argv:
-        return
-    at = argv.index("--config") + 1
-    if at == len(argv):
-        raise ConfigError("--config needs a file path")
-    raw = _read_config_file(argv[at])
-    targets = [parser]
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                if argv and argv[0] == name:
-                    targets.append(sub)
-    for target in targets:
-        defaults = {}
-        for action in target._actions:
-            if action.dest in raw:
-                value = raw[action.dest]
-                if action.type is not None:
-                    try:
-                        value = action.type(value)
-                    except ValueError as exc:
-                        raise ConfigError(f"{action.dest} = {value!r} is not a valid "
-                                          f"{action.type.__name__}") from exc
-                elif isinstance(action.default, bool):
-                    value = value.lower() in ("1", "true", "yes")
-                defaults[action.dest] = value
-        target.set_defaults(**defaults)
+def _with_config(argv):
+    """argv with its --config file's options spliced in right after the
+    subcommand, so explicit flags, which come later, win."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    spliced = _config_argv(path)
+    if pre.parse_known_args(spliced)[0].config is not None:
+        raise ConfigError(f"{path} names another config file, which would be ignored")
+    return argv[:1] + spliced + argv[1:]
 
 
 def _load_recordings(files, spec, max_gap):
@@ -242,11 +237,11 @@ def cmd_report(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="flowhar")
+    parser = _Parser(prog="flowhar")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common_data(p):
-        p.add_argument("--config", help="key=value option file")
+        p.add_argument("--config", help="file of key = value lines, read as long options")
         p.add_argument("--spec", required=True, help="dataset spec file")
         p.add_argument("--max-gap", dest="max_gap", type=int, default=10)
         p.add_argument("--warmup", type=float, default=1.0)
@@ -271,7 +266,7 @@ def build_parser():
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("synth", help="generate a synthetic recording + ground truth")
-    p.add_argument("--config", help="key=value option file")
+    p.add_argument("--config", help="file of key = value lines, read as long options")
     p.add_argument("--duration", type=float, default=20.0)
     p.add_argument("--rate", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=0)
@@ -317,10 +312,8 @@ def build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        _apply_config_defaults(parser, argv)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_with_config(argv))
         override = os.environ.get("FLOWHAR_OUTPUT_DIR")
         if override and hasattr(args, "out"):
             args.out = override

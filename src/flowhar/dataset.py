@@ -97,40 +97,48 @@ class Window:
     subject_id: str
 
 
-def parse_spec_file(path):
-    """Read a DatasetSpec from a key=value file.
-
-    Recognized keys: name, native_rate_hz, decimate, gyro_unit, label_col,
-    subject, num_classes, sensor.<name> (three comma lists separated by ';'
-    in accel;mag;gyro order) and label.<raw> = <class index>.  Lines starting
-    with '#' are comments.
-    """
-    sensors = {}
-    label_map = {}
-    kv = {}
+def read_key_values(path):
+    """[(line_no, key, value)] of a file of `key = value` lines, stripped;
+    '#' starts a comment.  A line without '=' raises ParseError."""
+    entries = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, eq, value = line.partition("=")
+            if not eq:
                 raise ParseError(f"expected key = value, got {line!r}", line_no)
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key.startswith("sensor."):
-                parts = value.split(";")
-                if len(parts) != 3:
-                    raise ParseError("sensor needs accel;mag;gyro column triplets", line_no)
-                triplets = []
-                for part in parts:
-                    ix = tuple(int(v) for v in part.split(","))
-                    if len(ix) != 3:
-                        raise ParseError("each sensor group needs 3 columns", line_no)
-                    triplets.append(ix)
-                sensors[key[len("sensor."):]] = SensorColumns(*triplets)
-            elif key.startswith("label."):
-                label_map[int(key[len("label."):])] = int(value)
-            else:
-                kv[key] = value
+            entries.append((line_no, key.strip(), value.strip()))
+    return entries
+
+
+def parse_spec_file(path):
+    """Read a DatasetSpec from a key=value file (see read_key_values).
+
+    Recognized keys: name, native_rate_hz, decimate, gyro_unit, label_col,
+    subject, num_classes, sensor.<name> (three comma lists separated by ';'
+    in accel;mag;gyro order) and label.<raw> = <class index>.
+    """
+    sensors = {}
+    label_map = {}
+    kv = {}
+    for line_no, key, value in read_key_values(path):
+        if key.startswith("sensor."):
+            parts = value.split(";")
+            if len(parts) != 3:
+                raise ParseError("sensor needs accel;mag;gyro column triplets", line_no)
+            triplets = []
+            for part in parts:
+                ix = tuple(int(v) for v in part.split(","))
+                if len(ix) != 3:
+                    raise ParseError("each sensor group needs 3 columns", line_no)
+                triplets.append(ix)
+            sensors[key[len("sensor."):]] = SensorColumns(*triplets)
+        elif key.startswith("label."):
+            label_map[int(key[len("label."):])] = int(value)
+        else:
+            kv[key] = value
     try:
         return DatasetSpec(
             name=kv.get("name", "unnamed"),

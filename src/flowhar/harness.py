@@ -87,13 +87,11 @@ class SubjectResult:
 
 @dataclass
 class ExperimentReport:
-    mode: str
-    seed: int
+    config: ExperimentConfig
     rows: list
     average_accuracy: float
     average_f1: float
     wall_time_s: float
-    config_echo: dict
     model_config: ModelConfig  # shared by every subject; what a checkpoint saves
 
 
@@ -110,22 +108,21 @@ def _write_atomic(path, text):
         raise
 
 
+def _run_settings(cfg, model_config):
+    """Every setting that decides a subject's result: the experiment config
+    but for target_subjects, output_dir and resume, plus the model config
+    under "model".  A field added to ExperimentConfig is included."""
+    settings = asdict(cfg)
+    for name in ("target_subjects", "output_dir", "resume"):
+        del settings[name]
+    settings["model"] = asdict(model_config)
+    return settings
+
+
 def _result_key(cfg, model_config, windows):
-    """sha256 of everything that decides a subject's result: the settings
-    (mode, granularity, windowing, labels, training, filter and model
-    configs) and the built windows' data, labels and subjects."""
-    settings = {
-        "mode": cfg.mode,
-        "granularity": cfg.granularity,
-        "win_len": cfg.win_len,
-        "stride": cfg.stride,
-        "label_map": sorted(cfg.label_map.items()),
-        "num_classes": cfg.num_classes,
-        "train": asdict(cfg.train),
-        "mahony": asdict(cfg.mahony),
-        "model": asdict(model_config),
-    }
-    h = hashlib.sha256(json.dumps(settings, sort_keys=True).encode())
+    """sha256 of _run_settings and the built windows' data, labels and
+    subjects."""
+    h = hashlib.sha256(json.dumps(_run_settings(cfg, model_config), sort_keys=True).encode())
     for w in windows:
         h.update(np.ascontiguousarray(w.data).tobytes())
     h.update(np.array([w.label for w in windows], dtype=np.int64).tobytes())
@@ -219,22 +216,11 @@ def run_louo(recordings, cfg):
     avg_acc = float(np.mean([r.accuracy for r in ok])) if ok else float("nan")
     avg_f1 = float(np.mean([r.weighted_f1 for r in ok])) if ok else float("nan")
     return ExperimentReport(
-        mode=cfg.mode,
-        seed=cfg.train.seed,
+        config=cfg,
         rows=rows,
         average_accuracy=avg_acc,
         average_f1=avg_f1,
         wall_time_s=time.time() - start_time,
-        config_echo={
-            "mode": cfg.mode,
-            "granularity": cfg.granularity,
-            "win_len": cfg.win_len,
-            "stride": cfg.stride,
-            "epochs": cfg.train.epochs,
-            "batch_size": cfg.train.batch_size,
-            "lr": cfg.train.lr,
-            "seed": cfg.train.seed,
-        },
         model_config=model_config,
     )
 
@@ -245,12 +231,12 @@ def emit_report(report, out_dir):
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = {
-        "mode": report.mode,
-        "seed": report.seed,
+        "mode": report.config.mode,
+        "seed": report.config.train.seed,
         "average_accuracy": report.average_accuracy,
         "average_f1": report.average_f1,
         "wall_time_s": report.wall_time_s,
-        "config": report.config_echo,
+        "config": _run_settings(report.config, report.model_config),
         "rows": [
             {
                 "subject": r.subject,

@@ -11,12 +11,13 @@ parameter array, which round-trips bit-exactly.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, conv1d, lstm, softmax, softmax_cross_entropy
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, DataError, InvalidInputError
 
 NORM_EPS = 1e-6  # added to each channel's std so a constant channel divides by > 0
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
@@ -198,14 +199,19 @@ def save_checkpoint(path, config, params, seed, mode):
 
 
 def load_checkpoint(path):
-    """(config, params, seed, mode); mode is None if the file records none."""
-    with np.load(path) as archive:
-        meta = json.loads(archive["meta"].tobytes().decode())
-        config = ModelConfig(**meta["config"])
-        params = {}
-        for key in archive.files:
-            if key.startswith("param:"):
-                params[key[len("param:"):]] = Tensor(archive[key], requires_grad=True)
+    """(config, params, seed, mode); mode is None if the file records none.
+    A file that save_checkpoint did not write raises DataError."""
+    try:
+        with np.load(path) as archive:
+            meta = json.loads(archive["meta"].tobytes().decode())
+            config = ModelConfig(**meta["config"])
+            params = {}
+            for key in archive.files:
+                if key.startswith("param:"):
+                    params[key[len("param:"):]] = Tensor(archive[key], requires_grad=True)
+    # ValueError: not .npz (read as pickle); EOFError: empty; KeyError: no meta
+    except (ValueError, EOFError, zipfile.BadZipFile, KeyError) as exc:
+        raise DataError(f"{path} is not a flowhar checkpoint archive") from exc
     return config, params, meta["seed"], meta.get("mode")
 
 

@@ -14,6 +14,7 @@ channel that is plain cross-entropy training.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 2:
             raise ConfigError("batch size must be >= 2 for meaningful shuffles")
+        if not 0.0 < self.lr < math.inf:  # NaN fails the comparison too
+            raise ConfigError("lr must be positive and finite")
 
 
 @dataclass

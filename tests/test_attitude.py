@@ -179,6 +179,16 @@ class TestMahonyParams:
             {"sample_rate_hz": 0.0},
             {"warmup_seconds": -1.0},
             {"mag_reference_handling": "bogus"},
+            {"kp": math.nan},
+            {"kp": math.inf},
+            {"ki": math.nan},
+            {"ki": math.inf},
+            {"sample_rate_hz": math.nan},
+            {"sample_rate_hz": math.inf},
+            {"fixed_inclination_deg": math.nan},
+            {"fixed_inclination_deg": -math.inf},
+            {"warmup_seconds": math.nan},
+            {"warmup_seconds": math.inf},
         ],
     )
     def test_validation(self, kwargs):

@@ -1,5 +1,7 @@
 """End-to-end command line tests driven through flowhar.cli.main."""
 
+import shlex
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,22 @@ class TestBadInput:
         save_checkpoint(ckpt, cfg, init_params(cfg, seed=0), seed=0, mode="vL_only")
         return ckpt
 
+    @pytest.mark.parametrize("content", [b"hi", b"", "no_meta", "truncated"],
+                             ids=["text", "empty", "no_meta", "truncated"])
+    def test_checkpoint_that_is_no_archive_exits_2(self, corpus, tmp_path, capsys, content):
+        spec, files = corpus
+        ckpt = tmp_path / "bad.npz"
+        if content == "no_meta":
+            np.savez(ckpt, **{"param:w": np.zeros(2)})
+        elif content == "truncated":
+            whole = self._checkpoint(tmp_path).read_bytes()
+            ckpt.write_bytes(whole[: len(whole) // 2])
+        else:
+            ckpt.write_bytes(content)
+        assert main(self._argv("eval", spec, files, ckpt)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {ckpt} is not a flowhar checkpoint")
+
     @pytest.mark.parametrize("unreadable", ["missing", "directory"])
     @pytest.mark.parametrize("command, which", [
         ("louo", "data"), ("louo", "spec"),
@@ -266,7 +284,7 @@ class TestBadInput:
     def test_config_without_value_exits_1(self, corpus, capsys):
         spec, files = corpus
         assert main([*self._argv("louo", spec, files), "--config"]) == 1
-        assert "config error: --config needs a file path" in capsys.readouterr().err
+        assert "config error: argument --config: expected one argument" in capsys.readouterr().err
 
     def test_missing_config_file_exits_1(self, corpus, tmp_path, capsys):
         spec, files = corpus
@@ -280,7 +298,8 @@ class TestBadInput:
         cfg.write_text("epochs = abc\n")
         assert main(["louo", "--spec", str(spec), "--data", *files,
                      "--config", str(cfg)]) == 1
-        assert "config error: epochs = 'abc' is not a valid int" in capsys.readouterr().err
+        assert ("config error: argument --epochs: invalid int value: 'abc'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["louo", "train", "eval"])
     def test_stride_zero_exits_1(self, corpus, tmp_path, capsys, command):
@@ -288,3 +307,101 @@ class TestBadInput:
         argv = self._argv(command, spec, files, self._checkpoint(tmp_path))
         assert main([*argv, "--stride", "0"]) == 1
         assert "config error: stride must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--stride", "abc"), ("--mode", "bogus"),
+        ("--warmup", "nan"), ("--warmup", "inf"), ("--lr", "nan"), ("--lr", "-1"),
+    ])
+    def test_bad_option_value_exits_1(self, corpus, capsys, flag, value):
+        spec, files = corpus
+        assert main([*self._argv("louo", spec, files), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and flag.lstrip("-") in err
+
+    def test_missing_data_exits_1(self, corpus, capsys):
+        spec, _ = corpus
+        assert main(["louo", "--spec", str(spec), "--mode", "vL_only"]) == 1
+        assert ("config error: the following arguments are required: --data"
+                in capsys.readouterr().err)
+
+
+class TestConfigFile:
+    """--config lines are parsed as long options ahead of the explicit flags."""
+
+    def _louo(self, spec, cfg, *extra):
+        return main(["louo", "--spec", str(spec), "--config", str(cfg),
+                     "--mode", "vL_only", "--win-len", "32", "--stride", "16",
+                     "--epochs", "1", "--batch", "8", *extra])
+
+    def test_config_equals_form(self, tmp_path):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("duration = 4\n")
+        out = tmp_path / "a"
+        assert main(["synth", f"--config={cfg}", "--output", str(out)]) == 0
+        assert len(out.with_suffix(".rec").read_text().splitlines()) - 1 == 120
+
+    def test_data_takes_several_paths(self, corpus, tmp_path, capsys):
+        spec, files = corpus
+        cfg = tmp_path / "louo.cfg"
+        cfg.write_text(f"data = {shlex.join(files)}\n")
+        assert self._louo(spec, cfg) == 0
+        printed = capsys.readouterr().out
+        assert "subject 0: accuracy=" in printed and "subject 1: accuracy=" in printed
+
+    def test_unknown_key_exits_1(self, corpus, tmp_path, capsys):
+        spec, files = corpus
+        cfg = tmp_path / "louo.cfg"
+        cfg.write_text("bogus = 3\n")
+        assert main(["louo", "--spec", str(spec), "--data", *files,
+                     "--config", str(cfg)]) == 1
+        assert "config error: unrecognized arguments: --bogus 3" in capsys.readouterr().err
+
+    def test_nested_config_exits_1(self, tmp_path, capsys):
+        inner = tmp_path / "inner.cfg"
+        inner.write_text("duration = 4\n")
+        outer = tmp_path / "outer.cfg"
+        outer.write_text(f"config = {inner}\n")
+        assert main(["synth", "--config", str(outer), "--output", str(tmp_path / "x")]) == 1
+        assert (f"config error: {outer} names another config file"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key", ["win_len", "win-len"])
+    def test_key_names_the_long_option(self, corpus, tmp_path, capsys, key):
+        spec, files = corpus
+        cfg = tmp_path / "louo.cfg"
+        cfg.write_text(f"{key} = abc\n")
+        assert main(["louo", "--spec", str(spec), "--data", *files,
+                     "--config", str(cfg)]) == 1
+        assert ("config error: argument --win-len: invalid int value: 'abc'"
+                in capsys.readouterr().err)
+
+    def test_resume_not_true_or_false_exits_1(self, corpus, tmp_path, capsys):
+        spec, files = corpus
+        cfg = tmp_path / "louo.cfg"
+        cfg.write_text("resume = maybe\n")
+        assert main(["louo", "--spec", str(spec), "--data", *files,
+                     "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "resume = 'maybe'" in err
+
+    def test_resume_true_and_false(self, corpus, tmp_path):
+        # A subject read back from its marker has no training log, so
+        # emit_report writes no curves file for it.
+        spec, files = corpus
+        out = tmp_path / "sweep"
+        cfg = tmp_path / "louo.cfg"
+        cfg.write_text("resume = false\n")
+        assert self._louo(spec, cfg, "--data", *files, "--out", str(out)) == 0
+        for value, curves in (("true", []), ("false", ["curves_0.csv", "curves_1.csv"])):
+            for path in out.glob("curves_*.csv"):
+                path.unlink()
+            cfg.write_text(f"resume = {value}\n")
+            assert self._louo(spec, cfg, "--data", *files, "--out", str(out)) == 0
+            assert sorted(p.name for p in out.glob("curves_*.csv")) == curves
+
+    @pytest.mark.parametrize("command", ["louo", "train", "eval", "transform", "synth"])
+    def test_help_lists_config(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert "--config" in capsys.readouterr().out

@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from flowhar.attitude import MahonyParams
 from flowhar.dataset import Window
 from flowhar.errors import ConfigError
 from flowhar.harness import (
@@ -180,7 +181,9 @@ class TestRunLouo:
         dict(train=TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=4)),
         dict(train=TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=3)),
         dict(mode="vL_only"),
-    ], ids=["seed", "epochs", "mode"])
+        dict(mahony=MahonyParams(kp=2.0)),
+        dict(model_overrides=dict(TINY_MODEL, lstm_hidden=5)),
+    ], ids=["seed", "epochs", "mode", "mahony", "model_overrides"])
     def test_resume_redoes_markers_of_another_config(self, tmp_path, change):
         recs = tiny_population()
         out = tmp_path / "sweep"
@@ -263,6 +266,19 @@ class TestEmitReport:
         assert [row["accuracy"] for row in summary["rows"]] == [
             r.accuracy for r in report.rows
         ]
+
+    def test_summary_config_is_run_settings(self, tmp_path):
+        cfg = tiny_config(target_subjects=("u0",), output_dir=str(tmp_path / "sweep"))
+        report = run_louo(tiny_population(), cfg)
+        emit_report(report, tmp_path / "report")
+        summary = load_summary(tmp_path / "report")
+        assert (summary["mode"], summary["seed"]) == ("vG_only", 3)
+        config = summary["config"]
+        assert not {"target_subjects", "output_dir", "resume"} & set(config)
+        assert config["train"] == {"epochs": 1, "batch_size": 8, "lr": 1e-3, "seed": 3}
+        assert config["mahony"]["kp"] == 1.0
+        assert config["model_overrides"] == TINY_MODEL
+        assert config["model"]["lstm_hidden"] == 4 and config["model"]["n"] == 1
 
     def test_curve_rows_per_epoch(self, tmp_path):
         recs = tiny_population()

@@ -59,6 +59,9 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=1)
+        for lr in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                TrainConfig(lr=lr)
 
 
 class TestPhase1:
