@@ -18,7 +18,6 @@ from .dataset import (
     decimate,
     interpolate_nans,
     load_recording,
-    louo_split,
     parse_spec_file,
     segment_windows,
 )

@@ -177,8 +177,6 @@ def cmd_train(args):
     spec = ds.parse_spec_file(args.spec)
     recordings = _load_recordings(args.data, spec, args.max_gap)
     cfg = _experiment_config(args, spec)
-    if not args.target:
-        raise ConfigError("train requires --target (the held-out subject)")
     report = run_louo(recordings, cfg)
     row = report.rows[0]
     if row.error:
@@ -196,7 +194,7 @@ def cmd_train(args):
 def cmd_eval(args):
     spec = ds.parse_spec_file(args.spec)
     config, params, _seed, mode = load_checkpoint(args.checkpoint)
-    if mode not in MODE_SPECS:
+    if mode not in MODES:  # a tuple: an unhashable mode is just not found
         raise ConfigError(f"checkpoint {args.checkpoint} records no known mode (got {mode!r})")
     recordings = _load_recordings(args.data, spec, args.max_gap)
     windows = ds.build_windows(
@@ -320,6 +318,8 @@ def main(argv=None):
         # segment_windows would reject it too, but as a runtime failure (exit 3).
         if getattr(args, "stride", 1) < 1:
             raise ConfigError("stride must be >= 1")
+        if args.command == "train" and not args.target:
+            raise ConfigError("train requires --target (the held-out subject)")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

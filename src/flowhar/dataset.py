@@ -318,16 +318,6 @@ def segment_windows(data, labels, valid, subject_id, win_len, stride, label_map)
     return out
 
 
-def louo_split(windows, target_subject):
-    """Exact partition into (train = everyone else, test = target subject)."""
-    target = str(target_subject)
-    test = [w for w in windows if w.subject_id == target]
-    if not test:
-        raise InvalidInputError(f"no windows for target subject {target!r}")
-    train = [w for w in windows if w.subject_id != target]
-    return train, test
-
-
 def assemble_channels(rec, mode, mahony_params=None):
     """Build the per-timestep channel matrix for one recording.
 

@@ -15,11 +15,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .attitude import MahonyParams
-from .dataset import build_windows, louo_split
-from .errors import ConfigError, FlowError
+from .dataset import build_windows
+from .errors import ConfigError, FlowError, InvalidInputError
 from .metrics import accuracy, weighted_f1
 from .model import ModelConfig, init_params
-from .trainer import TrainConfig, TrainLog, fit
+from .trainer import TrainConfig, TrainLog, fit, stack_windows
 from .views import ChannelLayout, ViewSchema, build_schema
 
 
@@ -76,11 +76,14 @@ class ExperimentConfig:
 
 @dataclass
 class SubjectResult:
+    """One subject's outcome.  A row read back from a resume marker has no
+    log or params; an error row has only the error."""
+
     subject: str
-    accuracy: float | None
-    weighted_f1: float | None
-    confusion: np.ndarray | None
-    log: TrainLog | None
+    accuracy: float | None = None
+    weighted_f1: float | None = None
+    confusion: np.ndarray | None = None
+    log: TrainLog | None = None
     error: str | None = None
     params: dict | None = None
 
@@ -130,11 +133,18 @@ def _result_key(cfg, model_config, windows):
     return h.hexdigest()
 
 
-def _evaluate_split(train_windows, test_windows, cfg, model_config, schema):
-    params = init_params(model_config, cfg.train.seed)
-    params, log = fit(train_windows, schema, params, model_config, cfg.train, test_windows)
-    cm = log.records[-1].test_confusion
-    return accuracy(cm), weighted_f1(cm), cm, log, params
+def _saved_result(marker, subject, key):
+    """The row a resume marker with this run's key holds, else None: a
+    missing or unusable marker, or another run's, means training again."""
+    try:
+        saved = json.loads(marker.read_text())
+        if saved["key"] == key:
+            return SubjectResult(subject, saved["accuracy"], saved["weighted_f1"],
+                                 np.asarray(saved["confusion"]))
+    # not there, not JSON, not an object, or a field missing
+    except (FileNotFoundError, ValueError, TypeError, KeyError):
+        pass
+    return None
 
 
 def run_louo(recordings, cfg):
@@ -166,52 +176,39 @@ def run_louo(recordings, cfg):
         cfg.mahony,
     )
     subjects = list(cfg.target_subjects) or sorted({w.subject_id for w in windows})
-
     key = _result_key(cfg, model_config, windows) if cfg.output_dir else None
+    subject_ids = np.array([w.subject_id for w in windows], dtype=str)
+    data, labels = stack_windows(windows, model_config.dtype)
+    del windows  # the stack holds the data from here on
+
     rows = []
     for subject in subjects:
         marker = None
         if cfg.output_dir:
             marker = pathlib.Path(cfg.output_dir) / f"subject_{subject}.done.json"
-            saved = json.loads(marker.read_text()) if cfg.resume and marker.exists() else {}
-            if saved.get("key") == key:
-                rows.append(
-                    SubjectResult(
-                        subject=subject,
-                        accuracy=saved["accuracy"],
-                        weighted_f1=saved["weighted_f1"],
-                        confusion=np.asarray(saved["confusion"]),
-                        log=None,
-                    )
-                )
+            saved = _saved_result(marker, subject, key) if cfg.resume else None
+            if saved is not None:
+                rows.append(saved)
                 continue
+        test = subject_ids == str(subject)
         try:
-            train_w, test_w = louo_split(windows, subject)
-            acc, f1, cm, log, params = _evaluate_split(
-                train_w, test_w, cfg, model_config, schema
-            )
-            rows.append(
-                SubjectResult(
-                    subject=subject, accuracy=acc, weighted_f1=f1,
-                    confusion=cm, log=log, params=params,
-                )
-            )
-            if marker is not None:
-                marker.parent.mkdir(parents=True, exist_ok=True)
-                _write_atomic(
-                    marker,
-                    json.dumps(
-                        {"key": key, "accuracy": acc, "weighted_f1": f1,
-                         "confusion": cm.tolist()}
-                    ),
-                )
+            if not test.any():
+                raise InvalidInputError(f"no windows for target subject {str(subject)!r}")
+            params = init_params(model_config, cfg.train.seed)
+            log = fit(data[~test], labels[~test], schema, params, model_config, cfg.train,
+                      test=(data[test], labels[test]))
         except FlowError as exc:
-            rows.append(
-                SubjectResult(
-                    subject=subject, accuracy=None, weighted_f1=None,
-                    confusion=None, log=None, error=str(exc),
-                )
-            )
+            rows.append(SubjectResult(subject, error=str(exc)))
+            continue
+        cm = log.records[-1].test_confusion
+        row = SubjectResult(subject, accuracy(cm), weighted_f1(cm), cm, log, params=params)
+        rows.append(row)
+        if marker is not None:
+            marker.parent.mkdir(parents=True, exist_ok=True)
+            _write_atomic(marker, json.dumps({
+                "key": key, "accuracy": row.accuracy, "weighted_f1": row.weighted_f1,
+                "confusion": cm.tolist(),
+            }))
     ok = [r for r in rows if r.error is None]
     avg_acc = float(np.mean([r.accuracy for r in ok])) if ok else float("nan")
     avg_f1 = float(np.mean([r.weighted_f1 for r in ok])) if ok else float("nan")

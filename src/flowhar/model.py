@@ -198,21 +198,33 @@ def save_checkpoint(path, config, params, seed, mode):
     np.savez(path, meta=np.frombuffer(meta.encode(), dtype=np.uint8), **arrays)
 
 
+def _layout(params):
+    return {name: (t.shape, t.data.dtype) for name, t in params.items()}
+
+
 def load_checkpoint(path):
     """(config, params, seed, mode); mode is None if the file records none.
-    A file that save_checkpoint did not write raises DataError."""
+    A file that save_checkpoint did not write raises DataError, and so do
+    parameters other than the names, shapes and dtypes init_params builds."""
     try:
         with np.load(path) as archive:
             meta = json.loads(archive["meta"].tobytes().decode())
             config = ModelConfig(**meta["config"])
-            params = {}
-            for key in archive.files:
-                if key.startswith("param:"):
-                    params[key[len("param:"):]] = Tensor(archive[key], requires_grad=True)
-    # ValueError: not .npz (read as pickle); EOFError: empty; KeyError: no meta
-    except (ValueError, EOFError, zipfile.BadZipFile, KeyError) as exc:
+            seed, mode = meta["seed"], meta.get("mode")
+            params = {
+                key[len("param:"):]: Tensor(archive[key], requires_grad=True)
+                for key in archive.files if key.startswith("param:")
+            }
+        expected = _layout(init_params(config, 0))
+    # ValueError: not .npz (read as pickle) or meta not JSON; EOFError: empty;
+    # KeyError: no meta, or meta without config or seed; TypeError: a .npy
+    # array, meta not an object, config fields missing, unknown or of the
+    # wrong type; ConfigError: a config that ModelConfig rejects
+    except (ValueError, EOFError, zipfile.BadZipFile, KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"{path} is not a flowhar checkpoint archive") from exc
-    return config, params, meta["seed"], meta.get("mode")
+    if _layout(params) != expected:
+        raise DataError(f"{path} is not a flowhar checkpoint: its parameters do not fit its config")
+    return config, params, seed, mode
 
 
 __all__ = [

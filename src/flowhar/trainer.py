@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, softmax_cross_entropy
+from .autodiff import softmax_cross_entropy
 from .errors import ConfigError, InvalidInputError
 from .metrics import accuracy, confusion
 from .model import (
@@ -69,7 +69,7 @@ class TrainLog:
 
 
 def stack_windows(windows, dtype="float32"):
-    data = np.stack([w.data for w in windows]).astype(dtype)
+    data = np.array([w.data for w in windows], dtype=dtype)
     labels = np.array([w.label for w in windows], dtype=np.int64)
     return data, labels
 
@@ -85,7 +85,7 @@ def train_phase1(data, labels, schema, params, config, opt, rng):
         raise InvalidInputError("phase 1 needs at least two samples")
     r = gen_shuffle_matrix(b, schema.n, rng)
     shuffled, view_labels = shuffle_batch(data, labels, schema, r)
-    feats = backbone_forward(Tensor(shuffled.astype(config.dtype)), params, config)
+    feats = backbone_forward(shuffled, params, config)
     grouped = mvf_forward(feats, params, config)
     loss = None
     for j in range(schema.n):
@@ -104,7 +104,7 @@ def _detached(params):
 def train_phase2(data, labels, params, config, opt):
     """One unshuffled step on the voting net with backbone + MVF frozen."""
     frozen = _detached(params)
-    feats = backbone_forward(Tensor(data.astype(config.dtype)), frozen, config)
+    feats = backbone_forward(data, frozen, config)
     grouped = mvf_forward(feats, frozen, config)
     logits = voting_forward(grouped, params, config)
     loss = softmax_cross_entropy(logits, labels)
@@ -142,20 +142,20 @@ def evaluate(data, labels, params, config):
     return accuracy(cm), (view_correct / len(labels)).tolist(), cm
 
 
-def fit(train_windows, schema, params, model_config, train_config, test_windows=None):
-    """Full training loop: for every batch, phase 1 then (when the model has
-    a voting net) phase 2.
+def fit(data, labels, schema, params, model_config, train_config, test=None):
+    """Full training loop over (b, t, c) windows and their labels: for every
+    batch, phase 1 then (when the model has a voting net) phase 2.  `test`
+    is an optional (data, labels) pair scored after every epoch.
 
     Deterministic for a fixed (data, configs, seed).  Incomplete final
-    batches are kept; their shuffle matrix simply has fewer rows.  Returns
-    (params, TrainLog).
+    batches are kept; their shuffle matrix simply has fewer rows.  Trains
+    `params` in place and returns the TrainLog.
     """
-    if not train_windows:
+    if len(data) == 0:
         raise InvalidInputError("empty training set")
-    data, labels = stack_windows(train_windows, model_config.dtype)
-    test = None
-    if test_windows:
-        test = stack_windows(test_windows, model_config.dtype)
+    if len(data) != len(labels):
+        raise InvalidInputError(f"{len(data)} windows but {len(labels)} labels")
+    data = np.asarray(data, model_config.dtype)
     set_normalization(params, data)
 
     rng = np.random.default_rng(train_config.seed)
@@ -186,4 +186,4 @@ def fit(train_windows, schema, params, model_config, train_config, test_windows=
             (record.test_accuracy, record.test_view_accuracy,
              record.test_confusion) = evaluate(test[0], test[1], params, model_config)
         log.records.append(record)
-    return params, log
+    return log

@@ -1,10 +1,14 @@
 """Shared helpers for the test suite."""
 
+import io
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
 from flowhar.attitude import G0
+from flowhar.model import init_params
 
 
 def rot_x(deg):
@@ -83,3 +87,60 @@ def max_rel_err(analytic, numeric, floor=1e-8):
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+# Files that save_checkpoint did not write, each named for how it differs
+# from a checkpoint of the same config.
+BAD_CHECKPOINTS = (
+    "text", "empty", "truncated", "npy", "no_meta", "meta_not_object", "no_seed",
+    "config_field_missing", "config_field_unknown", "config_rejected", "meta_only",
+    "param_missing", "param_unknown", "param_wrong_shape", "param_wrong_dtype",
+)
+
+
+def write_bad_checkpoint(path, case, config):
+    """Write the BAD_CHECKPOINTS variant `case` of a checkpoint of config."""
+    meta = {"config": asdict(config), "seed": 0, "mode": "vL_only"}
+    arrays = {f"param:{name}": t.data for name, t in init_params(config, 0).items()}
+    bias = arrays["param:mvf.b"]
+
+    def savez(target):
+        np.savez(target, meta=np.frombuffer(json.dumps(meta).encode(), np.uint8), **arrays)
+
+    if case == "text":
+        path.write_bytes(b"hi")
+    elif case == "empty":
+        path.write_bytes(b"")
+    elif case == "truncated":
+        buf = io.BytesIO()
+        savez(buf)
+        path.write_bytes(buf.getvalue()[: len(buf.getvalue()) // 2])
+    elif case == "npy":
+        with open(path, "wb") as fh:  # np.save would append .npy to the name
+            np.save(fh, bias)
+    elif case == "no_meta":
+        np.savez(path, **arrays)
+    else:
+        if case == "meta_not_object":
+            meta = [1, 2]
+        elif case == "no_seed":
+            del meta["seed"]
+        elif case == "config_field_missing":
+            del meta["config"]["k"]
+        elif case == "config_field_unknown":
+            meta["config"]["width"] = 3
+        elif case == "config_rejected":
+            meta["config"]["k"] = 1
+        elif case == "meta_only":
+            arrays = {}
+        elif case == "param_missing":
+            del arrays["param:mvf.b"]
+        elif case == "param_unknown":
+            arrays["param:mvf.extra"] = bias
+        elif case == "param_wrong_shape":
+            arrays["param:mvf.b"] = bias[:-1]
+        elif case == "param_wrong_dtype":
+            arrays["param:mvf.b"] = bias.astype(np.float16)
+        else:
+            raise ValueError(f"unknown case {case!r}")
+        savez(path)

@@ -10,6 +10,8 @@ from flowhar.attitude import G0
 from flowhar.harness import MODES
 from flowhar.model import ModelConfig, init_params, save_checkpoint
 
+from conftest import BAD_CHECKPOINTS, write_bad_checkpoint
+
 SPEC_TEXT = """\
 name = synthcli
 native_rate_hz = 30
@@ -185,6 +187,18 @@ class TestTrainEval:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["bogus", ["flow"]], ids=["unknown", "list"])
+    def test_checkpoint_with_unknown_mode_exits_1(self, corpus, tmp_path, capsys, mode):
+        spec, files = corpus
+        ckpt = tmp_path / "model.npz"
+        cfg = ModelConfig(t=32, c=13, k=2, n=1, voting=False, conv_filters=2,
+                          lstm_hidden=4, voting_hidden=4)
+        save_checkpoint(ckpt, cfg, init_params(cfg, seed=0), seed=0, mode=mode)
+        code = main(["eval", "--spec", str(spec), "--data", *files,
+                     "--checkpoint", str(ckpt), "--stride", "16"])
+        assert code == 1
+        assert "records no known mode" in capsys.readouterr().err
+
     def test_train_without_target_exits_1(self, corpus, tmp_path, capsys):
         spec, files = corpus
         code = main(["train", "--spec", str(spec), "--data", *files,
@@ -238,25 +252,20 @@ class TestBadInput:
                 "--target", "0", "--win-len", "32", "--stride", "16",
                 "--epochs", "1", "--batch", "8"]
 
+    CKPT_CONFIG = ModelConfig(t=32, c=9, k=2, n=1, voting=False, conv_filters=2,
+                              lstm_hidden=4, voting_hidden=4)
+
     def _checkpoint(self, tmp_path):
         ckpt = tmp_path / "model.npz"
-        cfg = ModelConfig(t=32, c=9, k=2, n=1, voting=False, conv_filters=2,
-                          lstm_hidden=4, voting_hidden=4)
-        save_checkpoint(ckpt, cfg, init_params(cfg, seed=0), seed=0, mode="vL_only")
+        save_checkpoint(ckpt, self.CKPT_CONFIG, init_params(self.CKPT_CONFIG, seed=0),
+                        seed=0, mode="vL_only")
         return ckpt
 
-    @pytest.mark.parametrize("content", [b"hi", b"", "no_meta", "truncated"],
-                             ids=["text", "empty", "no_meta", "truncated"])
+    @pytest.mark.parametrize("content", BAD_CHECKPOINTS)
     def test_checkpoint_that_is_no_archive_exits_2(self, corpus, tmp_path, capsys, content):
         spec, files = corpus
         ckpt = tmp_path / "bad.npz"
-        if content == "no_meta":
-            np.savez(ckpt, **{"param:w": np.zeros(2)})
-        elif content == "truncated":
-            whole = self._checkpoint(tmp_path).read_bytes()
-            ckpt.write_bytes(whole[: len(whole) // 2])
-        else:
-            ckpt.write_bytes(content)
+        write_bad_checkpoint(ckpt, content, self.CKPT_CONFIG)
         assert main(self._argv("eval", spec, files, ckpt)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {ckpt} is not a flowhar checkpoint")
@@ -307,6 +316,14 @@ class TestBadInput:
         argv = self._argv(command, spec, files, self._checkpoint(tmp_path))
         assert main([*argv, "--stride", "0"]) == 1
         assert "config error: stride must be >= 1" in capsys.readouterr().err
+
+    def test_train_without_target_exits_1_before_reading_data(self, corpus, tmp_path, capsys):
+        spec, files = corpus
+        argv = self._argv("train", spec, [*files, str(tmp_path / "nope")])
+        at = argv.index("--target")
+        del argv[at:at + 2]
+        assert main(argv) == 1
+        assert "config error: train requires --target" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--stride", "abc"), ("--mode", "bogus"),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from flowhar import harness
 from flowhar.attitude import MahonyParams
 from flowhar.dataset import (
     DatasetSpec,
@@ -18,7 +19,6 @@ from flowhar.dataset import (
     decimate,
     interpolate_nans,
     load_recording,
-    louo_split,
     parse_spec_file,
     segment_windows,
 )
@@ -29,6 +29,8 @@ from flowhar.errors import (
     ParseError,
     SpecMismatchError,
 )
+from flowhar.synth import SynthSpec, synth_population
+from flowhar.trainer import EpochRecord, TrainConfig, TrainLog, stack_windows
 
 SPEC_TEXT = """\
 # one subject column, one 9-axis sensor
@@ -471,25 +473,48 @@ class TestSegmentWindows:
 
 
 class TestLouoSplit:
-    def _windows(self):
-        from flowhar.dataset import Window
+    """run_louo stacks the windows once and splits them by a subject mask."""
 
-        out = []
-        for subject, count in (("1", 3), ("2", 2), ("3", 4)):
-            for _ in range(count):
-                out.append(Window(data=np.zeros((2, 2)), label=0, subject_id=subject))
-        return out
+    def _run(self, monkeypatch, target_subjects=()):
+        fits = []
 
-    def test_exact_partition(self):
-        windows = self._windows()
-        train, test = louo_split(windows, "2")
-        assert len(train) + len(test) == len(windows)
-        assert {w.subject_id for w in test} == {"2"}
-        assert "2" not in {w.subject_id for w in train}
+        def fake_fit(data, labels, schema, params, model_config, train_config, test=None):
+            fits.append((data, labels, test))
+            cm = np.eye(2, dtype=np.int64)
+            return TrainLog([EpochRecord(0, 0.0, 0.0, 1.0, test_confusion=cm)])
 
-    def test_unknown_subject(self):
-        with pytest.raises(InvalidInputError):
-            louo_split(self._windows(), "9")
+        monkeypatch.setattr(harness, "fit", fake_fit)
+        acts = [SynthSpec(duration_s=4.0, rate_hz=30.0, label=label) for label in (0, 1)]
+        recordings = synth_population(3, acts, rng_seed=0)
+        cfg = harness.ExperimentConfig(
+            mode="vL_only", win_len=32, stride=16, label_map={0: 0, 1: 1}, num_classes=2,
+            target_subjects=target_subjects, train=TrainConfig(epochs=1, batch_size=8),
+            model_overrides=dict(conv_filters=2, lstm_hidden=4, voting_hidden=4),
+        )
+        return recordings, cfg, harness.run_louo(recordings, cfg), fits
+
+    def test_exact_partition(self, monkeypatch):
+        recordings, cfg, report, fits = self._run(monkeypatch)
+        windows = build_windows(recordings, "local", cfg.win_len, cfg.stride, cfg.label_map)
+        subjects = ["u0", "u1", "u2"]
+        assert [r.subject for r in report.rows] == subjects and len(fits) == 3
+        for subject, (data, labels, test) in zip(subjects, fits):
+            train_w = [w for w in windows if w.subject_id != subject]
+            test_w = [w for w in windows if w.subject_id == subject]
+            assert len(train_w) + len(test_w) == len(windows) and test_w
+            for (got_data, got_labels), part in (((data, labels), train_w), (test, test_w)):
+                want_data, want_labels = stack_windows(part, "float32")
+                assert got_data.dtype == np.float32
+                assert np.array_equal(got_data, want_data)
+                assert np.array_equal(got_labels, want_labels)
+
+    def test_unknown_subject(self, monkeypatch):
+        _, _, report, fits = self._run(monkeypatch, target_subjects=("u1", "u9"))
+        assert len(fits) == 1
+        assert [r.subject for r in report.rows] == ["u1", "u9"]
+        assert report.rows[0].error is None
+        assert report.rows[1].error == "no windows for target subject 'u9'"
+        assert report.rows[1].accuracy is None and report.rows[1].log is None
 
 
 class TestAssembleChannels:

@@ -1,5 +1,6 @@
 """Experiment orchestration tests: LOUO sweeps, ablation arms, reports."""
 
+import json
 import pathlib
 
 import numpy as np
@@ -86,24 +87,24 @@ class TestRunBaseline:
             out.append(Window(data=data, label=label, subject_id="s"))
         return out
 
-    def _fit(self, windows, epochs, lr, test_windows=None):
+    def _fit(self, windows, epochs, lr, test=None):
         cfg = ModelConfig(t=24, c=4, k=2, n=1, conv_layers=2, conv_kernel=3,
                           lstm_layers=1, voting=False, **TINY_MODEL)
         schema = ViewSchema(granularity="single", views=((0, 1, 2, 3),))
         tc = TrainConfig(epochs=epochs, batch_size=8, lr=lr, seed=0)
-        params, log = fit(windows, schema, init_params(cfg, tc.seed), cfg, tc, test_windows)
+        params = init_params(cfg, tc.seed)
+        log = fit(*stack_windows(windows, cfg.dtype), schema, params, cfg, tc, test)
         return cfg, params, log
 
     def test_toy_train_accuracy(self):
         windows = self._windows()
-        test_windows = self._windows(b=6, seed=1)
-        cfg, params, log = self._fit(windows, epochs=30, lr=1e-2, test_windows=test_windows)
+        data, labels = stack_windows(self._windows(b=6, seed=1), "float32")
+        cfg, params, log = self._fit(windows, epochs=30, lr=1e-2, test=(data, labels))
         assert log.records[-1].train_accuracy >= 0.99
         assert len(log.records) == 30
         # no voting net: nothing to build, no phase 2
         assert not any(name.startswith("voting.") for name in params)
         assert all(r.loss_mvf2 == 0.0 for r in log.records)
-        data, labels = stack_windows(test_windows, cfg.dtype)
         acc, _, cm = evaluate(data, labels, params, cfg)
         assert acc == log.records[-1].test_accuracy >= 0.99
         assert np.array_equal(cm, log.records[-1].test_confusion)
@@ -202,6 +203,27 @@ class TestRunLouo:
         resumed = run_louo(tiny_population(seed=12),
                            tiny_config(output_dir=str(out), resume=True))
         assert all(r.log is not None for r in resumed.rows)
+
+    @pytest.mark.parametrize("damage", [
+        "not_json", "not_object", "accuracy", "weighted_f1", "confusion",
+    ])
+    def test_resume_redoes_unusable_markers(self, tmp_path, damage):
+        recs = tiny_population()
+        out = tmp_path / "sweep"
+        first = run_louo(recs, tiny_config(output_dir=str(out)))
+        marker = out / "subject_u0.done.json"
+        saved = json.loads(marker.read_text())
+        if damage == "not_json":
+            marker.write_text(marker.read_text()[:-1])
+        elif damage == "not_object":
+            marker.write_text("[1, 2]")
+        else:  # this run's key, one field missing
+            marker.write_text(json.dumps({k: v for k, v in saved.items() if k != damage}))
+        resumed = run_louo(recs, tiny_config(output_dir=str(out), resume=True))
+        assert resumed.rows[0].log is not None  # trained again
+        assert resumed.rows[1].log is None  # its marker is whole
+        assert [r.accuracy for r in resumed.rows] == [r.accuracy for r in first.rows]
+        assert json.loads(marker.read_text()) == saved
 
 
 class _Killed(BaseException):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowhar.autodiff import Tensor, softmax_cross_entropy
-from flowhar.errors import ConfigError, InvalidInputError
+from flowhar.errors import ConfigError, DataError, InvalidInputError
 from flowhar.model import (
     Adam,
     ModelConfig,
@@ -18,6 +18,8 @@ from flowhar.model import (
     set_normalization,
     voting_forward,
 )
+
+from conftest import BAD_CHECKPOINTS, write_bad_checkpoint
 
 TINY = dict(conv_layers=2, conv_filters=3, conv_kernel=3, lstm_layers=1,
             lstm_hidden=4, voting_hidden=5)
@@ -226,6 +228,13 @@ class TestCheckpoint:
             for name in params:
                 assert np.array_equal(params[name].data, params2[name].data)
                 assert params[name].data.dtype == params2[name].data.dtype
+
+    @pytest.mark.parametrize("case", BAD_CHECKPOINTS)
+    def test_file_save_checkpoint_did_not_write(self, tmp_path, case):
+        path = tmp_path / "bad.npz"
+        write_bad_checkpoint(path, case, tiny_config(dtype="float32"))
+        with pytest.raises(DataError, match="is not a flowhar checkpoint"):
+            load_checkpoint(path)
 
 
 class TestParamsByPrefix:

@@ -137,6 +137,28 @@ class TestPhase2:
         assert not bit_identical(params, before)
 
 
+class TestInputDtype:
+    def test_float64_batch_trains_like_its_float32_cast(self):
+        # backbone_forward casts a batch to the config's dtype; the steps add
+        # no cast of their own.
+        cfg = ModelConfig(t=9, c=4, k=2, n=2, dtype="float32", **TINY)
+        _, _, data, labels, schema = tiny_setup()
+        runs = []
+        for batch in (data.astype(np.float32), data):
+            params = init_params(cfg, seed=0)
+            opt1 = Adam(params_by_prefix(params, "backbone.", "mvf."))
+            opt2 = Adam(params_by_prefix(params, "voting."))
+            losses = (
+                train_phase1(batch, labels, schema, params, cfg, opt1, np.random.default_rng(0)),
+                train_phase2(batch, labels, params, cfg, opt2),
+            )
+            runs.append((losses, snapshot(params, ("backbone.", "mvf.", "voting."))))
+        (losses32, params32), (losses64, params64) = runs
+        assert losses64 == losses32
+        for name, arr in params32.items():
+            assert arr.dtype == np.float32 and np.array_equal(params64[name], arr), name
+
+
 class TestPredict:
     def test_constant_logit_shift_invariance(self):
         cfg, params, data, _, _ = tiny_setup()
@@ -216,8 +238,17 @@ class TestFit:
         cfg = ModelConfig(t=9, c=4, k=2, n=2, **TINY)
         params = init_params(cfg, seed=0)
         schema = ViewSchema(granularity="medium", views=((0, 1), (2, 3)))
-        with pytest.raises(InvalidInputError):
-            fit([], schema, params, cfg, TrainConfig(epochs=1))
+        with pytest.raises(InvalidInputError, match="empty training set"):
+            fit(np.zeros((0, 9, 4)), np.zeros(0, np.int64), schema, params, cfg,
+                TrainConfig(epochs=1))
+
+    def test_labels_of_another_length(self):
+        cfg = ModelConfig(t=9, c=4, k=2, n=2, **TINY)
+        params = init_params(cfg, seed=0)
+        schema = ViewSchema(granularity="medium", views=((0, 1), (2, 3)))
+        data, labels = stack_windows(self._windows(), cfg.dtype)
+        with pytest.raises(InvalidInputError, match="12 windows but 11 labels"):
+            fit(data, labels[:-1], schema, params, cfg, TrainConfig(epochs=1))
 
     def test_determinism(self):
         results = []
@@ -226,7 +257,7 @@ class TestFit:
             params = init_params(cfg, seed=1)
             schema = ViewSchema(granularity="medium", views=((0, 1), (2, 3)))
             tc = TrainConfig(epochs=3, batch_size=4, lr=1e-3, seed=5)
-            params, log = fit(self._windows(), schema, params, cfg, tc)
+            log = fit(*stack_windows(self._windows(), cfg.dtype), schema, params, cfg, tc)
             results.append((snapshot(params, ("backbone.", "mvf.", "voting.")),
                             [r.loss_mvf1 for r in log.records]))
         assert results[0][1] == results[1][1]
@@ -238,7 +269,7 @@ class TestFit:
         params = init_params(cfg, seed=1)
         schema = ViewSchema(granularity="medium", views=((0, 1), (2, 3)))
         tc = TrainConfig(epochs=4, batch_size=4, seed=0)
-        _, log = fit(self._windows(), schema, params, cfg, tc)
+        log = fit(*stack_windows(self._windows(), cfg.dtype), schema, params, cfg, tc)
         assert len(log.records) == 4
         for rec in log.records:
             assert rec.loss_mvf1 > 0.0 and rec.loss_mvf2 > 0.0
@@ -256,7 +287,7 @@ class TestFit:
         params = init_params(cfg, seed=1)
         schema = ViewSchema(granularity="medium", views=((0, 1), (2, 3)))
         tc = TrainConfig(epochs=1, batch_size=8, seed=0)
-        _, log = fit(self._windows(b=9), schema, params, cfg, tc)
+        log = fit(*stack_windows(self._windows(b=9), cfg.dtype), schema, params, cfg, tc)
         assert len(returned[1]) == 1 and len(returned[2]) == 2
         assert log.records[0].loss_mvf1 == returned[1][0]
         assert log.records[0].loss_mvf2 == (returned[2][0] + returned[2][1]) / 2
@@ -266,9 +297,8 @@ class TestFit:
         params = init_params(cfg, seed=2)
         schema = ViewSchema(granularity="medium", views=((0, 1), (2, 3)))
         tc = TrainConfig(epochs=40, batch_size=8, lr=1e-2, seed=3)
-        windows = self._windows(b=16)
-        params, log = fit(windows, schema, params, cfg, tc)
-        data, labels = stack_windows(windows, cfg.dtype)
+        data, labels = stack_windows(self._windows(b=16), cfg.dtype)
+        fit(data, labels, schema, params, cfg, tc)
         acc, view_acc, cm = evaluate(data, labels, params, cfg)
         assert acc >= 0.99
         assert cm.sum() == len(labels) and np.trace(cm) == round(acc * len(labels))
