@@ -54,6 +54,11 @@ class TrainConfig:
 
 @dataclass
 class EpochRecord:
+    """One epoch's mean step losses and accuracies.  train_accuracy is the
+    running accuracy over the epoch's training steps, from the logits each
+    step computed before its update: phase 2's voting logits, or phase 1's
+    logit group 0 for a model without a voting net."""
+
     epoch: int
     loss_mvf1: float
     loss_mvf2: float
@@ -78,7 +83,8 @@ def train_phase1(data, labels, schema, params, config, opt, rng):
     """One shuffled step on backbone + MVF layer; voting net untouched.
 
     Loss is the sum over views of the batch-mean cross-entropy between group
-    j's logits and view j's labels.
+    j's logits and view j's labels.  Returns (loss, correct), correct being
+    how many argmaxes of logit group 0 match view 0's labels.
     """
     b = data.shape[0]
     if b < 2:
@@ -91,10 +97,11 @@ def train_phase1(data, labels, schema, params, config, opt, rng):
     for j in range(schema.n):
         term = softmax_cross_entropy(grouped[:, j, :], view_labels[:, j])
         loss = term if loss is None else loss + term
+    correct = int(np.count_nonzero(grouped.data[:, 0, :].argmax(axis=1) == view_labels[:, 0]))
     opt.zero_grad()
     loss.backward()
     opt.step()
-    return float(loss.data)
+    return float(loss.data), correct
 
 
 def _detached(params):
@@ -102,16 +109,18 @@ def _detached(params):
 
 
 def train_phase2(data, labels, params, config, opt):
-    """One unshuffled step on the voting net with backbone + MVF frozen."""
+    """One unshuffled step on the voting net with backbone + MVF frozen.
+    Returns (loss, correct), correct counted from the voting logits."""
     frozen = _detached(params)
     feats = backbone_forward(data, frozen, config)
     grouped = mvf_forward(feats, frozen, config)
     logits = voting_forward(grouped, params, config)
     loss = softmax_cross_entropy(logits, labels)
+    correct = int(np.count_nonzero(logits.data.argmax(axis=1) == labels))
     opt.zero_grad()
     loss.backward()
     opt.step()
-    return float(loss.data)
+    return float(loss.data), correct
 
 
 def predict_batch(data, params, config):
@@ -145,7 +154,8 @@ def evaluate(data, labels, params, config):
 def fit(data, labels, schema, params, model_config, train_config, test=None):
     """Full training loop over (b, t, c) windows and their labels: for every
     batch, phase 1 then (when the model has a voting net) phase 2.  `test`
-    is an optional (data, labels) pair scored after every epoch.
+    is an optional (data, labels) pair scored after every epoch; the
+    training set is scored only by the steps themselves (see EpochRecord).
 
     Deterministic for a fixed (data, configs, seed).  Incomplete final
     batches are kept; their shuffle matrix simply has fewer rows.  Trains
@@ -166,21 +176,26 @@ def fit(data, labels, schema, params, model_config, train_config, test=None):
     log = TrainLog()
     for epoch in range(train_config.epochs):
         losses1, losses2 = [], []
+        correct = scored = 0
         for ix in _iter_batches(len(labels), train_config.batch_size, rng):
             batch = data[ix]
             batch_labels = labels[ix]
             if len(ix) >= 2:
-                losses1.append(train_phase1(
+                loss, hits = train_phase1(
                     batch, batch_labels, schema, params, model_config, opt1, rng
-                ))
+                )
+                losses1.append(loss)
+                if opt2 is None:
+                    correct, scored = correct + hits, scored + len(ix)
             if opt2 is not None:
-                losses2.append(train_phase2(batch, batch_labels, params, model_config, opt2))
-        train_acc, _, _ = evaluate(data, labels, params, model_config)
+                loss, hits = train_phase2(batch, batch_labels, params, model_config, opt2)
+                losses2.append(loss)
+                correct, scored = correct + hits, scored + len(ix)
         record = EpochRecord(
             epoch=epoch,
             loss_mvf1=sum(losses1) / max(len(losses1), 1),
             loss_mvf2=sum(losses2) / max(len(losses2), 1),
-            train_accuracy=train_acc,
+            train_accuracy=correct / max(scored, 1),
         )
         if test is not None:
             (record.test_accuracy, record.test_view_accuracy,

@@ -73,6 +73,26 @@ class TestMatmulAndShape:
     def test_getitem_grad(self):
         check_grad(lambda t: (t[:, 1] * 3.0).sum(), (4, 3))
 
+    def test_getitem_grad_basic_keys(self):
+        check_grad(lambda t: (t[1:3, -1] * 3.0).sum(), (4, 3))
+        check_grad(lambda t: (t[np.int64(2)] * 3.0).sum(), (4, 3))
+        check_grad(lambda t: (t[..., None, 0:2] * 3.0).sum(), (4, 3))
+        # overlapping slices: each slice's gradient is added once
+        x = Tensor(np.zeros(4), requires_grad=True)
+        (x[0:3] + x[1:4]).sum().backward()
+        assert x.grad.tolist() == [1.0, 2.0, 2.0, 1.0]
+
+    @pytest.mark.parametrize("key", [
+        [0, 0], np.array([0, 0]), np.array([True, False, True, False]),
+        (slice(None), [1]), True,
+    ], ids=["list", "int_array", "bool_array", "list_in_tuple", "bool"])
+    def test_getitem_rejects_advanced_keys(self, key):
+        # A repeated index would need np.add.at in the backward; the model
+        # never indexes that way, so such keys are refused.
+        t = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        with pytest.raises(InvalidInputError, match="Tensor index"):
+            t[key]
+
     def test_concat_grad(self):
         a = Tensor(np.random.default_rng(7).normal(size=(2, 3)), requires_grad=True)
         b = Tensor(np.random.default_rng(8).normal(size=(2, 2)), requires_grad=True)

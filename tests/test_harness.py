@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from flowhar import trainer
 from flowhar.attitude import MahonyParams
 from flowhar.dataset import Window
 from flowhar.errors import ConfigError
@@ -134,6 +135,26 @@ class TestRunLouo:
         b = run_louo(recs, tiny_config())
         assert [r.accuracy for r in a.rows] == [r.accuracy for r in b.rows]
         assert [r.weighted_f1 for r in a.rows] == [r.weighted_f1 for r in b.rows]
+
+    def test_fit_scores_only_the_test_set(self, monkeypatch):
+        # Train accuracy comes from the steps, so fit evaluates once per epoch
+        # on the held-out subject and never on the training set.
+        real = trainer.evaluate
+        calls = []
+
+        def counting(data, labels, params, config):
+            calls.append(len(labels))
+            return real(data, labels, params, config)
+
+        monkeypatch.setattr(trainer, "evaluate", counting)
+        train = TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=3)
+        report = run_louo(tiny_population(num_users=3), tiny_config(train=train))
+        held_out = [int(rec.test_confusion.sum()) for row in report.rows
+                    for rec in row.log.records]
+        assert len(held_out) == 3 * 2 and calls == held_out
+        calls.clear()
+        _, _, log = TestRunBaseline()._fit(TestRunBaseline()._windows(), epochs=2, lr=1e-3)
+        assert calls == [] and len(log.records) == 2
 
     def test_failed_subject_isolated(self):
         recs = tiny_population()

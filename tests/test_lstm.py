@@ -7,6 +7,8 @@ as the oracle: the fused op must equal them bit for bit, in values and in
 every gradient, and so must whole training steps.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,19 +69,14 @@ def _layer_weights(rng, layers, in_dim, hidden, dtype):
     return weights
 
 
-class TestFusedEqualsSteps:
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("layers", [1, 2])
-    @pytest.mark.parametrize("batch", [1, 5])
-    def test_values_and_gradients_bit_identical(self, dtype, layers, batch):
-        rng = np.random.default_rng(layers * 10 + batch)
-        steps, in_dim, hidden = 7, 3, 4
-        x0 = rng.normal(size=(batch, steps, in_dim)).astype(dtype)
-        weights = _layer_weights(rng, layers, in_dim, hidden, dtype)
-        # a gradient on every step's output, so BPTT carries the full sum
-        probe = rng.normal(size=(batch, steps, hidden)).astype(dtype)
-        flat = [t for layer in weights for t in layer]
-
+def assert_fused_equals_steps(x0, weights, probe):
+    """Run the fused layers and the per-step oracle on x0, backpropagate
+    sum(out * probe) through each, and compare outputs and every gradient
+    bit for bit."""
+    steps, hidden = x0.shape[1], probe.shape[2]
+    flat = [t for layer in weights for t in layer]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         x_fused = Tensor(x0.copy(), requires_grad=True)
         out = x_fused
         for wx, wh, b in weights:
@@ -100,11 +97,48 @@ class TestFusedEqualsSteps:
             loss = term if loss is None else loss + term
         loss.backward()
 
-        assert fused_out.dtype == np.dtype(dtype)
-        assert np.array_equal(fused_out, np.stack([h.data for h in xs], axis=1))
-        assert np.array_equal(x_fused.grad, x_steps.grad)
-        for got, t in zip(fused_grads, flat):
-            assert np.array_equal(got, t.grad)
+    assert fused_out.dtype == x0.dtype
+    assert np.array_equal(fused_out, np.stack([h.data for h in xs], axis=1))
+    assert np.array_equal(x_fused.grad, x_steps.grad)
+    for got, t in zip(fused_grads, flat):
+        assert np.array_equal(got, t.grad)
+
+
+class TestFusedEqualsSteps:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_values_and_gradients_bit_identical(self, dtype, layers, batch):
+        rng = np.random.default_rng(layers * 10 + batch)
+        steps, in_dim, hidden = 7, 3, 4
+        x0 = rng.normal(size=(batch, steps, in_dim)).astype(dtype)
+        weights = _layer_weights(rng, layers, in_dim, hidden, dtype)
+        # a gradient on every step's output, so BPTT carries the full sum
+        probe = rng.normal(size=(batch, steps, hidden)).astype(dtype)
+        assert_fused_equals_steps(x0, weights, probe)
+
+    def test_criterion7_shapes(self):
+        # The shapes criterion 7 trains at: batch 64, 48 LSTM steps after
+        # four kernel-5 convolutions of 64 samples, 16 filters, hidden 32.
+        rng = np.random.default_rng(7)
+        batch, steps, in_dim, hidden = 64, 48, 16, 32
+        x0 = rng.normal(size=(batch, steps, in_dim)).astype("float32")
+        weights = _layer_weights(rng, 2, in_dim, hidden, "float32")
+        probe = rng.normal(size=(batch, steps, hidden)).astype("float32")
+        assert_fused_equals_steps(x0, weights, probe)
+
+    def test_saturated_gates(self):
+        # Pre-activations beyond +-100: exp(-z) overflows float32 to inf and
+        # the sigmoid gates sit at exactly 0 or 1, with no RuntimeWarning.
+        rng = np.random.default_rng(8)
+        batch, steps, in_dim, hidden = 8, 6, 16, 8
+        x0 = (200.0 * rng.normal(size=(batch, steps, in_dim))).astype("float32")
+        weights = _layer_weights(rng, 2, in_dim, hidden, "float32")
+        wx, _, b = weights[0]
+        z0 = x0[:, 0, :] @ wx.data + b.data
+        assert z0.min() < -100.0 and z0.max() > 100.0
+        probe = rng.normal(size=(batch, steps, hidden)).astype("float32")
+        assert_fused_equals_steps(x0, weights, probe)
 
     def test_no_graph_without_grad_inputs(self):
         rng = np.random.default_rng(0)

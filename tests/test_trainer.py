@@ -7,7 +7,7 @@ from flowhar.autodiff import Tensor, softmax_cross_entropy
 from flowhar.dataset import Window
 from flowhar.errors import ConfigError, InvalidInputError
 from flowhar import trainer
-from flowhar.model import Adam, ModelConfig, init_params, params_by_prefix
+from flowhar.model import Adam, ModelConfig, full_forward, init_params, params_by_prefix
 from flowhar.trainer import (
     TrainConfig,
     evaluate,
@@ -98,9 +98,21 @@ class TestPhase1:
         grouped = mvf_forward(feats, params, cfg)
         reference = float(softmax_cross_entropy(grouped[:, 0, :], labels).data)
         opt = Adam(params_by_prefix(params, "backbone.", "mvf."))
-        loss = train_phase1(data, labels, schema, params, cfg, opt,
-                            np.random.default_rng(3))
+        loss, _ = train_phase1(data, labels, schema, params, cfg, opt,
+                               np.random.default_rng(3))
         assert abs(loss - reference) < 1e-6
+
+    def test_correct_counts_group0_before_the_update(self):
+        # One view covering every channel: the shuffle permutes whole samples
+        # with their labels, so the count equals the unshuffled batch's.
+        cfg, params, data, labels, _ = tiny_setup(b=16, n=1)
+        schema = ViewSchema(granularity="just_local", views=(tuple(range(4)),))
+        _, grouped = full_forward(data, params, cfg)
+        expected = np.count_nonzero(grouped.data[:, 0, :].argmax(axis=1) == labels)
+        opt = Adam(params_by_prefix(params, "backbone.", "mvf."), lr=1e-1)
+        _, correct = train_phase1(data, labels, schema, params, cfg, opt,
+                                  np.random.default_rng(3))
+        assert correct == expected
 
     def test_loss_decreases_on_toy_set(self):
         cfg, params, data, labels, schema = tiny_setup(b=16, seed=4)
@@ -109,7 +121,7 @@ class TestPhase1:
         opt = Adam(params_by_prefix(params, "backbone.", "mvf."), lr=1e-2)
         losses = [
             train_phase1(data, labels, schema, params, cfg, opt,
-                         np.random.default_rng(i))
+                         np.random.default_rng(i))[0]
             for i in range(30)
         ]
         assert np.mean(losses[-5:]) < np.mean(losses[:5])
@@ -128,6 +140,14 @@ class TestPhase2:
         # no gradient accumulation on the frozen stages either
         for name in grads_before:
             assert params[name].grad is None
+
+    def test_correct_counts_voting_logits_before_the_update(self):
+        cfg, params, data, labels, _ = tiny_setup(b=16)
+        logits, _ = full_forward(data, params, cfg)
+        expected = np.count_nonzero(logits.data.argmax(axis=1) == labels)
+        _, correct = train_phase2(data, labels, params, cfg,
+                                  Adam(params_by_prefix(params, "voting."), lr=1e-1))
+        assert correct == expected
 
     def test_voting_updates(self):
         cfg, params, data, labels, _ = tiny_setup()
@@ -289,8 +309,34 @@ class TestFit:
         tc = TrainConfig(epochs=1, batch_size=8, seed=0)
         log = fit(*stack_windows(self._windows(b=9), cfg.dtype), schema, params, cfg, tc)
         assert len(returned[1]) == 1 and len(returned[2]) == 2
-        assert log.records[0].loss_mvf1 == returned[1][0]
-        assert log.records[0].loss_mvf2 == (returned[2][0] + returned[2][1]) / 2
+        assert log.records[0].loss_mvf1 == returned[1][0][0]
+        assert log.records[0].loss_mvf2 == (returned[2][0][0] + returned[2][1][0]) / 2
+
+    @pytest.mark.parametrize("voting", [True, False])
+    def test_train_accuracy_counts_the_steps_logits(self, monkeypatch, voting):
+        # 9 windows at batch 8: a batch of 8 and a batch of 1.  With a voting
+        # net, phase 2 scores both batches (9 windows); without one, phase 1
+        # scores the batch of 8 only, since it skips the one-window batch.
+        returned = {1: [], 2: []}
+        for phase, fn in ((1, trainer.train_phase1), (2, trainer.train_phase2)):
+            def recording(*args, _fn=fn, _out=returned[phase]):
+                _out.append(_fn(*args))
+                return _out[-1]
+            monkeypatch.setattr(trainer, f"train_phase{phase}", recording)
+        n = 2 if voting else 1
+        cfg = ModelConfig(t=9, c=4, k=2, n=n, voting=voting, **TINY)
+        params = init_params(cfg, seed=1)
+        views = ((0, 1), (2, 3)) if voting else ((0, 1, 2, 3),)
+        schema = ViewSchema(granularity="medium", views=views)
+        tc = TrainConfig(epochs=2, batch_size=8, seed=0)
+        log = fit(*stack_windows(self._windows(b=9), cfg.dtype), schema, params, cfg, tc)
+        scoring, scored = (returned[2], 9) if voting else (returned[1], 8)
+        per_epoch = len(scoring) // 2
+        for epoch, rec in enumerate(log.records):
+            steps = scoring[epoch * per_epoch:(epoch + 1) * per_epoch]
+            assert rec.train_accuracy == sum(correct for _, correct in steps) / scored
+        assert len(returned[2]) == (4 if voting else 0)
+        assert len(returned[1]) == 2
 
     def test_toy_convergence_and_voting_quality(self):
         cfg = ModelConfig(t=9, c=4, k=2, n=2, dtype="float64", **TINY)
