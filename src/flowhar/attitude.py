@@ -1,4 +1,5 @@
-"""Quaternion algebra and the Mahony complementary attitude filter.
+"""Quaternion algebra and the Mahony attitude filter: a proportional
+complementary filter whose magnetic reference comes from the measured field.
 
 Conventions used throughout the library:
 
@@ -172,53 +173,45 @@ def quat_from_accel_mag(accel, mag):
     return quat_from_rotation_matrix(m)
 
 
+# Proportional gain of the filter.  With no integral term this is the
+# proportional complementary filter of Mahony, Hamel & Pflimlin (IEEE TAC 2008).
+MAHONY_KP = 1.0
+
+
 @dataclass(frozen=True)
 class MahonyParams:
-    """Filter gains and stream geometry.
+    """Stream geometry of the filter: the sample rate and the warm-up that
+    globalview.mc_transform trims from the start of each stream.
 
-    mag_reference_handling selects how the NED magnetic reference is obtained:
-    "auto" projects the measured field into the horizontal plane every step,
-    "fixed" uses a constant inclination angle (degrees, positive down).
+    The gain is MAHONY_KP, and the magnetic reference is the measured field
+    projected into the horizontal plane every step.
     """
 
-    kp: float = 1.0
-    ki: float = 0.0
     sample_rate_hz: float = 30.0
-    mag_reference_handling: str = "auto"
-    fixed_inclination_deg: float = 60.0
     warmup_seconds: float = 1.0
 
     def __post_init__(self):
         # Written as ranges so that NaN, which compares false, fails them.
-        if not 0.0 < self.kp < math.inf:
-            raise ConfigError("kp must be positive and finite")
-        if not 0.0 <= self.ki < math.inf:
-            raise ConfigError("ki must be non-negative and finite")
         if not 0.0 < self.sample_rate_hz < math.inf:
             raise ConfigError("sample_rate_hz must be positive and finite")
-        if not math.isfinite(self.fixed_inclination_deg):
-            raise ConfigError("fixed_inclination_deg must be finite")
         if not 0.0 <= self.warmup_seconds < math.inf:
             raise ConfigError("warmup_seconds must be non-negative and finite")
-        if self.mag_reference_handling not in ("auto", "fixed"):
-            raise ConfigError("mag_reference_handling must be 'auto' or 'fixed'")
 
 
 @dataclass
 class MahonyState:
     q: np.ndarray = field(default_factory=lambda: _IDENTITY.copy())
-    integral_error: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
-def _mahony_update(q, integral, row, params):
+def _mahony_update(q, row, dt):
     """The filter update shared by mahony_step and mahony_run, on Python
     floats and without input checks.
 
-    q is (w, x, y, z), integral (x, y, z) and row the 9 sample values
-    [ax ay az mx my mz gx gy gz].  Returns the new (q, integral) as tuples.
-    Raises InvalidInputError when a finite but huge accel or mag sample
-    overflows its norm, or when the updated quaternion's norm is zero or not
-    finite (a finite but huge gyro rate overflows it).
+    q is (w, x, y, z) and row the 9 sample values [ax ay az mx my mz gx gy gz].
+    Returns the new q as a tuple.  Raises InvalidInputError when a finite but
+    huge accel or mag sample overflows its norm, or when the updated
+    quaternion's norm is zero or not finite (a finite but huge gyro rate
+    overflows it).
     """
     w, x, y, z = q
     ax, ay, az, mx, my, mz, gx, gy, gz = row
@@ -239,13 +232,9 @@ def _mahony_update(q, integral, row, params):
         if nm == math.inf:
             raise InvalidInputError("magnetometer sample too large")
         mx, my, mz = mx / nm, my / nm, mz / nm
-        if params.mag_reference_handling == "auto":
-            # h = m_rot @ m with its horizontal part turned onto north
-            bn = math.hypot(m00 * mx + m01 * my + m02 * mz, m10 * mx + m11 * my + m12 * mz)
-            bd = m20 * mx + m21 * my + m22 * mz
-        else:
-            inc = math.radians(params.fixed_inclination_deg)
-            bn, bd = math.cos(inc), math.sin(inc)
+        # h = m_rot @ m with its horizontal part turned onto north
+        bn = math.hypot(m00 * mx + m01 * my + m02 * mz, m10 * mx + m11 * my + m12 * mz)
+        bd = m20 * mx + m21 * my + m22 * mz
         nb = math.sqrt(bn * bn + bd * bd)
         if nb > 0.0:
             bn, bd = bn / nb, bd / nb
@@ -257,15 +246,9 @@ def _mahony_update(q, integral, row, params):
             ey += mz * wx - mx * wz
             ez += mx * wy - my * wx
 
-    dt = 1.0 / params.sample_rate_hz
-    kp, ki = params.kp, params.ki
-    if ki > 0.0:
-        integral = (integral[0] + ex * dt, integral[1] + ey * dt, integral[2] + ez * dt)
-    ox = gx + kp * ex + ki * integral[0]
-    oy = gy + kp * ey + ki * integral[1]
-    oz = gz + kp * ez + ki * integral[2]
-
-    dw, dx, dy, dz = _hamilton(w, x, y, z, 0.0, ox, oy, oz)
+    dw, dx, dy, dz = _hamilton(
+        w, x, y, z, 0.0, gx + MAHONY_KP * ex, gy + MAHONY_KP * ey, gz + MAHONY_KP * ez
+    )
     w += 0.5 * dw * dt
     x += 0.5 * dx * dt
     y += 0.5 * dy * dt
@@ -273,7 +256,7 @@ def _mahony_update(q, integral, row, params):
     n = math.sqrt(w * w + x * x + y * y + z * z)
     if n == 0.0 or not math.isfinite(n):
         raise InvalidInputError("filter quaternion overflowed: sample too large")
-    return (w / n, x / n, y / n, z / n), integral
+    return (w / n, x / n, y / n, z / n)
 
 
 def mahony_step(state, accel, gyro, mag, params):
@@ -288,10 +271,7 @@ def mahony_step(state, accel, gyro, mag, params):
     _check_finite(accel, gyro, mag)
     q = _require_unit(state.q)
     row = np.concatenate([accel, mag, gyro]).tolist()
-    q, integral = _mahony_update(
-        q.tolist(), np.asarray(state.integral_error, dtype=float).tolist(), row, params
-    )
-    return MahonyState(q=np.array(q), integral_error=np.array(integral))
+    return MahonyState(q=np.array(_mahony_update(q.tolist(), row, 1.0 / params.sample_rate_hz)))
 
 
 def mahony_run(series, params):
@@ -314,9 +294,9 @@ def mahony_run(series, params):
         q = quat_from_accel_mag(series[0, 0:3], series[0, 3:6]).tolist()
     except (DegenerateInitError, InvalidInputError):
         q = _IDENTITY.tolist()
-    integral = (0.0, 0.0, 0.0)
+    dt = 1.0 / params.sample_rate_hz
     out = []
     for row in series.tolist():
-        q, integral = _mahony_update(q, integral, row, params)
+        q = _mahony_update(q, row, dt)
         out.append(q)
     return np.array(out)

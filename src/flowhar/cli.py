@@ -117,6 +117,8 @@ def cmd_transform(args):
 
 
 def cmd_synth(args):
+    if args.seed < 0:  # NumPy's generators take only non-negative seeds
+        raise ConfigError("seed must be >= 0")
     try:
         axis = np.array([float(v) for v in args.mounting_axis.split(",")])
     except ValueError:

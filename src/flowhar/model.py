@@ -47,6 +47,8 @@ class ModelConfig:
             raise ConfigError("need at least one view")
         if not self.voting and self.n != 1:
             raise ConfigError("a model without a voting net must have exactly one view")
+        if min(self.conv_layers, self.conv_kernel, self.lstm_layers) < 1:
+            raise ConfigError("layer counts and the kernel size must be >= 1")
         if min(self.conv_filters, self.lstm_hidden, self.voting_hidden) < 1:
             raise ConfigError("layer widths must be >= 1")
         t_out = self.t - self.conv_layers * (self.conv_kernel - 1)

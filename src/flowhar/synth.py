@@ -20,6 +20,7 @@ from .errors import ConfigError, InvalidInputError
 from .globalview import rotation_from_quaternion
 
 IDENTITY_QUAT = (1.0, 0.0, 0.0, 0.0)
+INCLINATION_DEG = 60.0  # magnetic field dip below the horizon, positive down
 _MOUNTING_TRIES = 1000  # random draws before _distinct_mountings gives up
 
 
@@ -43,14 +44,17 @@ class SynthSpec:
     accel_noise_std: float = 0.0
     gyro_noise_std: float = 0.0
     mag_noise_std: float = 0.0
-    inclination_deg: float = 60.0
     label: int = 0
 
     def __post_init__(self):
-        if self.duration_s <= 0 or self.rate_hz <= 0:
-            raise ConfigError("duration and rate must be positive")
-        if min(self.accel_noise_std, self.gyro_noise_std, self.mag_noise_std) < 0:
-            raise ConfigError("noise std must be non-negative")
+        # Written as ranges so that NaN, which compares false, fails them.
+        if not (0.0 < self.duration_s < math.inf and 0.0 < self.rate_hz < math.inf):
+            raise ConfigError("duration and rate must be positive and finite")
+        noise = (self.accel_noise_std, self.gyro_noise_std, self.mag_noise_std)
+        if not all(0.0 <= std < math.inf for std in noise):
+            raise ConfigError("noise std must be non-negative and finite")
+        if not all(map(math.isfinite, (self.lin_acc_freq_hz, *self.lin_acc_amp_ned))):
+            raise ConfigError("linear acceleration amplitude and frequency must be finite")
 
 
 def _quat_exp_step(q, omega, dt):
@@ -90,7 +94,7 @@ def synth_generate(spec, rng_seed=0):
 
     q_mount = quat_normalize(np.asarray(spec.mounting, dtype=float))
     r_mount = rotation_from_quaternion(q_mount)
-    inc = math.radians(spec.inclination_deg)
+    inc = math.radians(INCLINATION_DEG)
     b_ned = np.array([math.cos(inc), 0.0, math.sin(inc)])
     amp = np.asarray(spec.lin_acc_amp_ned, dtype=float)
     g_ned = np.array([0.0, 0.0, G0])
@@ -152,16 +156,16 @@ def synth_population(num_users, activities, rng_seed=0, min_separation_deg=10.0,
     Every user gets one random mounting rotation (pairwise at least
     min_separation_deg apart) applied to every activity template; labels come
     from the templates.  With sessions > 1 each (user, activity) pair is
-    recorded that many times, and random_heading varies the carrier attitude
-    at the start of each session so the absolute attitude is not a stable
-    class cue: True or "yaw" draws a random yaw, "full" draws a uniformly
-    random orientation.  One orientation is drawn per (user, session) and
+    recorded that many times.  random_heading="full" starts each session at
+    a uniformly random carrier attitude, so the absolute attitude is not a
+    stable class cue; False starts every session at the identity.  One
+    orientation is drawn per (user, session) and
     shared by every activity in that session, so in a cross-user experiment
     the attitude track carries no class information.  Output is one Recording
     per (user, activity, session), fully determined by the seed.
     """
-    if random_heading not in (False, True, "yaw", "full"):
-        raise ConfigError("random_heading must be False, True, 'yaw' or 'full'")
+    if random_heading is not False and random_heading != "full":
+        raise ConfigError("random_heading must be False or 'full'")
     if num_users < 2:
         raise InvalidInputError("need at least two users for cross-user experiments")
     rng = np.random.default_rng(rng_seed)
@@ -169,12 +173,7 @@ def synth_population(num_users, activities, rng_seed=0, min_separation_deg=10.0,
     recordings = []
     for u, mount in enumerate(mountings):
         for _ in range(sessions):
-            heading = IDENTITY_QUAT
-            if random_heading == "full":
-                heading = tuple(random_unit_quaternion(rng))
-            elif random_heading:
-                yaw = rng.uniform(0.0, 2.0 * math.pi)
-                heading = (math.cos(yaw / 2), 0.0, 0.0, math.sin(yaw / 2))
+            heading = tuple(random_unit_quaternion(rng)) if random_heading else IDENTITY_QUAT
             for template in activities:
                 spec = replace(
                     template, mounting=tuple(mount), initial_orientation=heading

@@ -50,6 +50,8 @@ class TrainConfig:
             raise ConfigError("batch size must be >= 2 for meaningful shuffles")
         if not 0.0 < self.lr < math.inf:  # NaN fails the comparison too
             raise ConfigError("lr must be positive and finite")
+        if self.seed < 0:  # NumPy's generators take only non-negative seeds
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass

@@ -4,6 +4,7 @@ import io
 import json
 import math
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -95,6 +96,7 @@ BAD_CHECKPOINTS = (
     "text", "empty", "truncated", "npy", "no_meta", "meta_not_object", "no_seed",
     "config_field_missing", "config_field_unknown", "config_rejected", "meta_only",
     "param_missing", "param_unknown", "param_wrong_shape", "param_wrong_dtype",
+    "no_conv_layers",
 )
 
 
@@ -141,6 +143,11 @@ def write_bad_checkpoint(path, case, config):
             arrays["param:mvf.b"] = bias[:-1]
         elif case == "param_wrong_dtype":
             arrays["param:mvf.b"] = bias.astype(np.float16)
+        elif case == "no_conv_layers":
+            # Config and parameters agree, but ModelConfig rejects the config.
+            meta["config"]["conv_layers"] = 0
+            unchecked = SimpleNamespace(**meta["config"])
+            arrays = {f"param:{name}": t.data for name, t in init_params(unchecked, 0).items()}
         else:
             raise ValueError(f"unknown case {case!r}")
         savez(path)

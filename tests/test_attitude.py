@@ -17,6 +17,7 @@ from conftest import (
 )
 from flowhar.attitude import (
     G0,
+    MAHONY_KP,
     MahonyParams,
     MahonyState,
     mahony_run,
@@ -42,7 +43,6 @@ def mahony_run_numpy(series, params):
         q = quat_from_accel_mag(series[0, 0:3], series[0, 3:6])
     except (DegenerateInitError, InvalidInputError):
         q = np.array([1.0, 0.0, 0.0, 0.0])
-    integral = np.zeros(3)
     out = np.empty((series.shape[0], 4))
     for i, row in enumerate(series):
         accel, mag, gyro = row[0:3], row[3:6], row[6:9]
@@ -55,19 +55,13 @@ def mahony_run_numpy(series, params):
         nm = float(np.linalg.norm(mag))
         if nm > 0.0:
             m_n = mag / nm
-            if params.mag_reference_handling == "auto":
-                h = m_rot @ m_n
-                b_ned = np.array([math.hypot(h[0], h[1]), 0.0, h[2]])
-            else:
-                inc = math.radians(params.fixed_inclination_deg)
-                b_ned = np.array([math.cos(inc), 0.0, math.sin(inc)])
+            h = m_rot @ m_n
+            b_ned = np.array([math.hypot(h[0], h[1]), 0.0, h[2]])
             nb = float(np.linalg.norm(b_ned))
             if nb > 0.0:
                 err += np.cross(m_n, m_rot.T @ (b_ned / nb))
         dt = 1.0 / params.sample_rate_hz
-        if params.ki > 0.0:
-            integral = integral + err * dt
-        omega = gyro + params.kp * err + params.ki * integral
+        omega = gyro + MAHONY_KP * err
         dq = 0.5 * quat_multiply_raw(q, np.array([0.0, omega[0], omega[1], omega[2]]))
         q = quat_normalize(q + dq * dt)
         out[i] = q
@@ -168,27 +162,22 @@ class TestTriadInit:
 class TestMahonyParams:
     def test_defaults(self):
         p = MahonyParams()
-        assert p.kp == 1.0 and p.ki == 0.0 and p.sample_rate_hz == 30.0
+        assert (p.sample_rate_hz, p.warmup_seconds) == (30.0, 1.0)
+        assert MAHONY_KP == 1.0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"kp": 0.0},
-            {"kp": -1.0},
-            {"ki": -0.1},
             {"sample_rate_hz": 0.0},
+            {"sample_rate_hz": -1.0},
+            {"sample_rate_hz": -0.0},
             {"warmup_seconds": -1.0},
-            {"mag_reference_handling": "bogus"},
-            {"kp": math.nan},
-            {"kp": math.inf},
-            {"ki": math.nan},
-            {"ki": math.inf},
             {"sample_rate_hz": math.nan},
             {"sample_rate_hz": math.inf},
-            {"fixed_inclination_deg": math.nan},
-            {"fixed_inclination_deg": -math.inf},
+            {"sample_rate_hz": -math.inf},
             {"warmup_seconds": math.nan},
             {"warmup_seconds": math.inf},
+            {"warmup_seconds": -math.inf},
         ],
     )
     def test_validation(self, kwargs):
@@ -298,14 +287,7 @@ class TestMahonyRun:
         assert attitude_error_deg(quats[-1], truth[-1]) < 3.0
 
     @pytest.mark.parametrize(
-        "params",
-        [
-            MahonyParams(),
-            MahonyParams(ki=0.3),
-            MahonyParams(kp=2.0, ki=0.1, mag_reference_handling="fixed",
-                         fixed_inclination_deg=55.0),
-        ],
-        ids=["default", "ki", "fixed_mag"],
+        "params", [MahonyParams(), MahonyParams(sample_rate_hz=100.0)], ids=["default", "100hz"]
     )
     def test_equals_step_loop(self, params):
         # The scalar reference: TRIAD seed, then mahony_step per row.
@@ -336,12 +318,9 @@ class TestMahonyRun:
     @given(
         seed=st.integers(0, 2**32 - 1),
         t=st.integers(1, 90),
-        kp=st.floats(0.1, 5.0),
-        ki=st.sampled_from([0.0, 0.05, 0.3]),
-        fixed=st.booleans(),
-        inclination=st.floats(-80.0, 80.0),
+        rate=st.floats(10.0, 200.0),
     )
-    def test_matches_numpy_oracle(self, seed, t, kp, ki, fixed, inclination):
+    def test_matches_numpy_oracle(self, seed, t, rate):
         rng = np.random.default_rng(seed)
         series = np.concatenate(
             [
@@ -354,10 +333,7 @@ class TestMahonyRun:
         off = rng.integers(0, 4, size=t)  # 1: accel off, 2: mag off, 3: both
         series[off % 2 == 1, 0:3] = 0.0
         series[off >= 2, 3:6] = 0.0
-        params = MahonyParams(
-            kp=kp, ki=ki, mag_reference_handling="fixed" if fixed else "auto",
-            fixed_inclination_deg=inclination,
-        )
+        params = MahonyParams(sample_rate_hz=rate)
         out = mahony_run(series, params)
         assert np.abs(out - mahony_run_numpy(series, params)).max() <= 1e-12
 

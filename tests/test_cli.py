@@ -94,6 +94,14 @@ class TestSynth:
                      "--output", str(tmp_path / "x")]) == 1
         assert "config error: mounting axis must be three" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--duration", "nan"), ("--rate", "inf"), ("--accel-noise", "nan"), ("--seed", "-1"),
+    ])
+    def test_bad_option_value_exits_1(self, tmp_path, capsys, flag, value):
+        assert main(["synth", flag, value, "--output", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not list(tmp_path.iterdir())
+
 
 class TestTransform:
     def test_static_recording_columns(self, tmp_path):
@@ -328,6 +336,7 @@ class TestBadInput:
     @pytest.mark.parametrize("flag, value", [
         ("--stride", "abc"), ("--mode", "bogus"),
         ("--warmup", "nan"), ("--warmup", "inf"), ("--lr", "nan"), ("--lr", "-1"),
+        ("--seed", "-1"),
     ])
     def test_bad_option_value_exits_1(self, corpus, capsys, flag, value):
         spec, files = corpus

@@ -203,7 +203,7 @@ class TestRunLouo:
         dict(train=TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=4)),
         dict(train=TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=3)),
         dict(mode="vL_only"),
-        dict(mahony=MahonyParams(kp=2.0)),
+        dict(mahony=MahonyParams(warmup_seconds=2.0)),
         dict(model_overrides=dict(TINY_MODEL, lstm_hidden=5)),
     ], ids=["seed", "epochs", "mode", "mahony", "model_overrides"])
     def test_resume_redoes_markers_of_another_config(self, tmp_path, change):
@@ -319,7 +319,7 @@ class TestEmitReport:
         config = summary["config"]
         assert not {"target_subjects", "output_dir", "resume"} & set(config)
         assert config["train"] == {"epochs": 1, "batch_size": 8, "lr": 1e-3, "seed": 3}
-        assert config["mahony"]["kp"] == 1.0
+        assert config["mahony"]["warmup_seconds"] == 1.0
         assert config["model_overrides"] == TINY_MODEL
         assert config["model"]["lstm_hidden"] == 4 and config["model"]["n"] == 1
 

@@ -35,7 +35,11 @@ class TestModelConfig:
             ModelConfig(t=8, c=4, k=3, n=1)  # 4 conv layers at kernel 5 need t > 16
 
     @pytest.mark.parametrize(
-        "kwargs", [{"k": 1}, {"n": 0}, {"conv_filters": 0}, {"voting": False}]
+        "kwargs",
+        [
+            {"k": 1}, {"n": 0}, {"conv_filters": 0}, {"voting": False},
+            {"conv_layers": 0}, {"conv_kernel": 0}, {"lstm_layers": 0},
+        ],
     )
     def test_validation(self, kwargs):
         base = dict(t=64, c=9, k=4, n=2)

@@ -13,13 +13,24 @@ from flowhar.synth import SynthSpec, synth_generate, synth_population
 
 
 class TestSynthSpecValidation:
-    def test_bad_duration(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"duration_s": 0.0},
+        {"accel_noise_std": -0.1},
+        {"duration_s": math.nan},
+        {"duration_s": math.inf},
+        {"rate_hz": math.nan},
+        {"rate_hz": math.inf},
+        {"accel_noise_std": math.nan},
+        {"gyro_noise_std": math.inf},
+        {"mag_noise_std": math.nan},
+        {"lin_acc_freq_hz": math.nan},
+        {"lin_acc_freq_hz": -math.inf},
+        {"lin_acc_amp_ned": (0.0, math.nan, 0.0)},
+        {"lin_acc_amp_ned": (math.inf, 0.0, 0.0)},
+    ])
+    def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
-            SynthSpec(duration_s=0.0)
-
-    def test_negative_noise(self):
-        with pytest.raises(ConfigError):
-            SynthSpec(accel_noise_std=-0.1)
+            SynthSpec(**kwargs)
 
 
 class TestSynthGenerate:
@@ -117,8 +128,9 @@ class TestSynthPopulation:
             synth_population(1, self._acts(), rng_seed=0)
 
     def test_bad_heading_mode(self):
-        with pytest.raises(ConfigError):
-            synth_population(2, self._acts(), rng_seed=0, random_heading="sideways")
+        for mode in ("sideways", "yaw", True):
+            with pytest.raises(ConfigError):
+                synth_population(2, self._acts(), rng_seed=0, random_heading=mode)
 
     def test_shared_session_orientation(self):
         # All activities inside one session start from the same attitude, so

@@ -59,6 +59,8 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=1)
+        with pytest.raises(ConfigError):
+            TrainConfig(seed=-1)
         for lr in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 TrainConfig(lr=lr)
