@@ -164,7 +164,7 @@ def synth_population(num_users, activities, rng_seed=0, min_separation_deg=10.0,
     the attitude track carries no class information.  Output is one Recording
     per (user, activity, session), fully determined by the seed.
     """
-    if random_heading is not False and random_heading != "full":
+    if random_heading not in (False, "full"):
         raise ConfigError("random_heading must be False or 'full'")
     if num_users < 2:
         raise InvalidInputError("need at least two users for cross-user experiments")
