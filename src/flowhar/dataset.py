@@ -49,15 +49,24 @@ class DatasetSpec:
     num_classes: int = 0
 
     def __post_init__(self):
+        kind, sep, _ = self.subject_source.partition(":")
+        if not sep or kind not in ("col", "filename"):
+            raise ConfigError("subject must be col:<idx> or filename:<regex>")
+        try:
+            subject_col = self.subject_col
+        except ValueError as exc:
+            raise ConfigError(f"subject column must be an integer: {self.subject_source!r}") from exc
         cols = []
         for sc in self.sensors.values():
             cols.extend(sc.all_columns())
         if len(cols) != len(set(cols)):
             raise ConfigError("sensor channel columns overlap")
+        if min([*cols, self.label_col, subject_col or 0]) < 0:
+            raise ConfigError("spec columns must be non-negative")
         if self.decimate_factor < 1:
             raise ConfigError("decimate_factor must be >= 1")
-        if self.native_rate_hz <= 0:
-            raise ConfigError("native_rate_hz must be positive")
+        if not 0 < self.native_rate_hz < math.inf:
+            raise ConfigError("native_rate_hz must be positive and finite")
         if self.gyro_unit not in ("rad/s", "deg/s"):
             raise ConfigError("gyro_unit must be 'rad/s' or 'deg/s'")
         mapped = list(self.label_map.values())
@@ -65,6 +74,13 @@ class DatasetSpec:
             raise ConfigError("label map must be injective")
         if any(not 0 <= c < self.num_classes for c in mapped):
             raise ConfigError(f"label map class indices must lie in [0, {self.num_classes})")
+
+    @property
+    def subject_col(self):
+        """The subject id column of a "col:<idx>" source, else None."""
+        if self.subject_source.startswith("col:"):
+            return int(self.subject_source[len("col:"):])
+        return None
 
 
 @dataclass
@@ -113,6 +129,14 @@ def read_key_values(path):
     return entries
 
 
+def _number(convert, value, line_no):
+    """convert(value), or ParseError at line_no when value is not a number."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ParseError(f"expected {convert.__name__}, got {value!r}", line_no) from exc
+
+
 def parse_spec_file(path):
     """Read a DatasetSpec from a key=value file (see read_key_values).
 
@@ -123,6 +147,7 @@ def parse_spec_file(path):
     sensors = {}
     label_map = {}
     kv = {}
+    line_of = {}
     for line_no, key, value in read_key_values(path):
         if key.startswith("sensor."):
             parts = value.split(";")
@@ -130,29 +155,36 @@ def parse_spec_file(path):
                 raise ParseError("sensor needs accel;mag;gyro column triplets", line_no)
             triplets = []
             for part in parts:
-                ix = tuple(int(v) for v in part.split(","))
+                ix = tuple(_number(int, v, line_no) for v in part.split(","))
                 if len(ix) != 3:
                     raise ParseError("each sensor group needs 3 columns", line_no)
                 triplets.append(ix)
             sensors[key[len("sensor."):]] = SensorColumns(*triplets)
         elif key.startswith("label."):
-            label_map[int(key[len("label."):])] = int(value)
+            raw = _number(int, key[len("label."):], line_no)
+            label_map[raw] = _number(int, value, line_no)
         else:
             kv[key] = value
-    try:
-        return DatasetSpec(
-            name=kv.get("name", "unnamed"),
-            sensors=sensors,
-            label_col=int(kv["label_col"]),
-            subject_source=kv.get("subject", "col:0"),
-            native_rate_hz=float(kv["native_rate_hz"]),
-            decimate_factor=int(kv.get("decimate", "1")),
-            gyro_unit=kv.get("gyro_unit", "rad/s"),
-            label_map=label_map,
-            num_classes=int(kv.get("num_classes", str(len(set(label_map.values()))))),
-        )
-    except KeyError as exc:
-        raise ParseError(f"missing required key {exc}") from exc
+            line_of[key] = line_no
+
+    def number(key, convert, default=None):
+        if key in kv:
+            return _number(convert, kv[key], line_of[key])
+        if default is None:
+            raise ParseError(f"missing required key {key!r}")
+        return default
+
+    return DatasetSpec(
+        name=kv.get("name", "unnamed"),
+        sensors=sensors,
+        label_col=number("label_col", int),
+        subject_source=kv.get("subject", "col:0"),
+        native_rate_hz=number("native_rate_hz", float),
+        decimate_factor=number("decimate", int, 1),
+        gyro_unit=kv.get("gyro_unit", "rad/s"),
+        label_map=label_map,
+        num_classes=number("num_classes", int, len(set(label_map.values()))),
+    )
 
 
 def _parse_rows(path):
@@ -175,21 +207,41 @@ def _parse_rows(path):
     return rows
 
 
+def _read_table(path):
+    """The rows of a recording file as one float array, equal bit for bit
+    to _parse_rows'.
+
+    NumPy's reader parses the data lines.  When it refuses them, _parse_rows
+    reads the file again: it raises the ParseError with the file's line
+    number, or parses forms that float() takes and NumPy does not (1_000).
+    """
+    with open(path) as fh:
+        lines = [s.replace(",", " ") for s in map(str.strip, fh) if s and not s.startswith("#")]
+    # loadtxt would skip a line of only commas, where _parse_rows reads a row
+    # of no fields, and it warns when it gets no lines at all.
+    if lines and not any(map(str.isspace, lines)):
+        try:
+            # comments=None: a row with a trailing "# note" is malformed.
+            return np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    return np.asarray(_parse_rows(path), dtype=float)
+
+
 def load_recording(path, spec):
     """Load a columnar recording file into one Recording per subject run.
 
     Gyroscope values are converted to rad/s.  Rows whose label code has no
     entry in the label map are kept (windowing drops them later).
     """
-    data = np.asarray(_parse_rows(path), dtype=float)
+    data = _read_table(path)
     if not data.size:
         raise SpecMismatchError(f"{path}: file contains no data rows")
     needed = [spec.label_col]
     for sc in spec.sensors.values():
         needed.extend(sc.all_columns())
-    subj_col = None
-    if spec.subject_source.startswith("col:"):
-        subj_col = int(spec.subject_source.split(":", 1)[1])
+    subj_col = spec.subject_col
+    if subj_col is not None:
         needed.append(subj_col)
     if max(needed) >= data.shape[1]:
         raise SpecMismatchError(
@@ -197,8 +249,12 @@ def load_recording(path, spec):
         )
 
     labels_raw = data[:, spec.label_col]
-    if not np.all(np.isfinite(labels_raw)) or np.any(labels_raw != np.round(labels_raw)):
-        raise SpecMismatchError(f"{path}: label column {spec.label_col} is not integral")
+    # The range test also rejects NaN and inf; 2**63 itself is out of int64.
+    in_int64 = (labels_raw >= -(2.0**63)) & (labels_raw < 2.0**63)
+    if not np.all(in_int64 & (labels_raw == np.round(labels_raw))):
+        raise SpecMismatchError(
+            f"{path}: label column {spec.label_col} is not integral within int64"
+        )
     labels = labels_raw.astype(int)
 
     # One Recording per run of equal subject ids: bounds[k]:bounds[k + 1].
