@@ -49,13 +49,12 @@ class DatasetSpec:
     num_classes: int = 0
 
     def __post_init__(self):
-        kind, sep, _ = self.subject_source.partition(":")
-        if not sep or kind not in ("col", "filename"):
+        if not self.subject_source.startswith(("col:", "filename:")):
             raise ConfigError("subject must be col:<idx> or filename:<regex>")
         try:
             subject_col = self.subject_col
         except ValueError as exc:
-            raise ConfigError(f"subject column must be an integer: {self.subject_source!r}") from exc
+            raise ConfigError(f"bad subject column in {self.subject_source!r}") from exc
         cols = []
         for sc in self.sensors.values():
             cols.extend(sc.all_columns())

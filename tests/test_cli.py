@@ -134,6 +134,16 @@ class TestTransform:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["label_col = x", "native_rate_hz = fast", "decimate = two"])
+    def test_non_numeric_spec_value_exits_2(self, tmp_path, capsys, line):
+        spec = tmp_path / "synth.spec"
+        spec.write_text(SPEC_TEXT + line + "\n")
+        rec = synth(tmp_path / "subj0_static", label=0, seed=0)
+        code = main(["transform", "--spec", str(spec), "--input", rec,
+                     "--output", str(tmp_path / "out.txt")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+
 
 class TestTrainEval:
     def test_train_then_eval(self, corpus, tmp_path, capsys):

@@ -1,14 +1,18 @@
 """Ingestion, cleaning, windowing, and LOUO split tests."""
 
+import importlib.util
 import math
+import pathlib
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flowhar import harness
+from flowhar import dataset, harness
 from flowhar.attitude import MahonyParams
 from flowhar.dataset import (
     DatasetSpec,
@@ -96,6 +100,33 @@ def load_recording_loop(data, path, spec):
     return recordings
 
 
+def parse_outcome(read, path):
+    """What read(path) gives: the dtype, shape and bytes of its float array
+    (NaN payloads included), or the file line of its ParseError."""
+    try:
+        rows = np.asarray(read(path), dtype=float)
+    except ParseError as exc:
+        return ("ParseError", exc.line_no)
+    return (rows.dtype, rows.shape, rows.tobytes())
+
+
+def assert_parse_matches_line_loop(path, read_table=dataset._read_table):
+    """load_recording's parse is the line loop's, bit for bit."""
+    assert parse_outcome(read_table, path) == parse_outcome(dataset._parse_rows, path)
+
+
+def load_perfbench_inputs():
+    """perfbench/inputs.py, the benchmark's input generator, as a module."""
+    name = "perfbench_inputs"
+    if name not in sys.modules:
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        # Its dataclasses look their module up in sys.modules.
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
 def interpolate_nans_loop(rec, max_gap):
     """interpolate_nans as it was with a per-sample run scan; the oracle for
     its fill and its valid mask."""
@@ -156,6 +187,22 @@ class TestParseSpecFile:
         with pytest.raises(ParseError):
             parse_spec_file(path)
 
+    @pytest.mark.parametrize("old, new", [
+        ("label_col = 1", "label_col = x"),
+        ("sensor.imu = 2,3,4;", "sensor.imu = 2,3,x;"),
+        ("label.10 = 0", "label.abc = 0"),
+        ("label.20 = 1", "label.20 = one"),
+        ("native_rate_hz = 30", "native_rate_hz = fast"),
+        ("decimate = 1", "decimate = two"),
+        ("num_classes = 2", "num_classes = 2.5"),
+    ])
+    def test_non_numeric_value_reports_line(self, tmp_path, old, new):
+        text = SPEC_TEXT.replace(old, new)
+        with pytest.raises(ParseError) as exc:
+            parse_spec_file(write_spec(tmp_path, text))
+        lines = enumerate(text.splitlines(), start=1)
+        assert exc.value.line_no == next(n for n, line in lines if line.startswith(new))
+
     def test_shipped_specs_parse(self):
         import importlib.resources as res
 
@@ -167,6 +214,9 @@ class TestParseSpecFile:
 
 
 class TestDatasetSpecValidation:
+    VALID = dict(name="x", sensors={"a": SensorColumns((0, 1, 2), (3, 4, 5), (6, 7, 8))},
+                 label_col=9, subject_source="col:10", native_rate_hz=30)
+
     def test_overlapping_columns(self):
         with pytest.raises(ConfigError):
             DatasetSpec(
@@ -176,6 +226,21 @@ class TestDatasetSpecValidation:
                 subject_source="col:9",
                 native_rate_hz=30,
             )
+
+    @pytest.mark.parametrize("kwargs", [
+        {"sensors": {"a": SensorColumns((-1, 1, 2), (3, 4, 5), (6, 7, 8))}},
+        {"label_col": -1},
+        {"subject_source": "col:-1"},
+        {"subject_source": "col:x"},
+        {"subject_source": "subject"},
+        {"subject_source": "row:1"},
+        {"native_rate_hz": math.nan},
+        {"native_rate_hz": math.inf},
+    ])
+    def test_validation(self, kwargs):
+        DatasetSpec(**self.VALID)
+        with pytest.raises(ConfigError):
+            DatasetSpec(**{**self.VALID, **kwargs})
 
     def test_class_index_out_of_range(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -196,6 +261,17 @@ class TestDatasetSpecValidation:
 
 
 class TestLoadRecording:
+    @pytest.fixture(autouse=True)
+    def parse_matches_line_loop(self, monkeypatch):
+        """Every file these tests load parses as the line loop parses it."""
+        read_table = dataset._read_table
+
+        def checked(path):
+            assert_parse_matches_line_loop(path, read_table)
+            return read_table(path)
+
+        monkeypatch.setattr(dataset, "_read_table", checked)
+
     def test_length_contract(self, tmp_path):
         spec = parse_spec_file(write_spec(tmp_path))
         path = write_recording(tmp_path, make_rows(10))
@@ -291,12 +367,87 @@ class TestLoadRecording:
         recs = load_recording(path, spec)
         assert len(recs) == 1 and recs[0].subject_id == "7"
 
+    @pytest.mark.parametrize("label", [1e300, -1e300, 2.0**63, 1.5, np.nan, np.inf])
+    def test_label_not_int64_rejected(self, tmp_path, label):
+        spec = parse_spec_file(write_spec(tmp_path))
+        path = write_recording(tmp_path, make_rows(2) + make_rows(1, label=label))
+        with pytest.raises(SpecMismatchError):
+            load_recording(path, spec)
+
+    def test_int64_edge_labels_kept(self, tmp_path):
+        spec = parse_spec_file(write_spec(tmp_path))
+        edges = [-(2**63), 2**63 - 1024]  # 2**63 - 1024 is the largest double below 2**63
+        path = write_recording(tmp_path, [make_rows(1, label=float(v))[0] for v in edges])
+        assert load_recording(path, spec)[0].labels.tolist() == edges
+
     def test_unmapped_labels_kept(self, tmp_path):
         spec = parse_spec_file(write_spec(tmp_path))
         rows = make_rows(3, label=99)
         path = write_recording(tmp_path, rows)
         rec = load_recording(path, spec)[0]
         assert list(rec.labels) == [99, 99, 99]
+
+
+class TestReadTable:
+    """load_recording parses with NumPy's reader, as the line loop would."""
+
+    @pytest.mark.parametrize("old, new", [
+        *(("9.8", token) for token in [
+            "+1", "1e5", "inf", "-Infinity", "nan", "NaN", "-nan", "1e400", "-0",
+            "1_000", "0x10", "1.5j", "\u0661\u0662", "1 # note", ",,",
+        ]),
+        ("-45.0", "-45.0 # note"),
+    ])
+    def test_odd_token_parses_as_line_loop(self, tmp_path, old, new):
+        rows = [" ".join(str(v) for v in row) for row in make_rows(3)]
+        rows[1] = rows[1].replace(old, new)
+        path = tmp_path / "odd.txt"
+        path.write_text("# header\n" + "\n".join(rows) + "\n")
+        assert_parse_matches_line_loop(path)
+
+    @pytest.mark.parametrize("sep", ["\t", "\xa0", ", ", " ,"])
+    @pytest.mark.parametrize("every_row", [True, False])
+    def test_separator_parses_as_line_loop(self, tmp_path, sep, every_row):
+        rows = [" ".join(str(v) for v in row) for row in make_rows(3)]
+        for i in range(3) if every_row else [2]:
+            rows[i] = rows[i].replace(" ", sep)
+        path = tmp_path / "sep.txt"
+        path.write_text("\n".join(rows) + "\n")
+        assert_parse_matches_line_loop(path)
+
+    def test_line_of_commas_reports_its_line(self, tmp_path):
+        spec = parse_spec_file(write_spec(tmp_path))
+        good = " ".join(str(v) for v in make_rows(1)[0])
+        path = tmp_path / "commas.txt"
+        path.write_text(f"{good}\n,,,\n{good}\n")
+        with pytest.raises(ParseError) as exc:
+            load_recording(path, spec)
+        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("text", ["", "# only\n\n  # comments\n", ",,\n ,\n"])
+    def test_no_data_rows_without_warning(self, tmp_path, text):
+        spec = parse_spec_file(write_spec(tmp_path))
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecMismatchError, match="no data rows"):
+                load_recording(path, spec)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_files_parse_as_line_loop(self, tmp_path, seed):
+        inputs = load_perfbench_inputs()
+        for f in inputs.opportunity_files(tmp_path, seed, inputs.opportunity_spec(), 4, 900):
+            assert_parse_matches_line_loop(f.path)
+
+    def test_clean_file_skips_line_loop(self, tmp_path, monkeypatch):
+        def line_loop(path):
+            raise AssertionError("the line loop parsed a clean file")
+
+        monkeypatch.setattr(dataset, "_parse_rows", line_loop)
+        spec = parse_spec_file(write_spec(tmp_path))
+        path = write_recording(tmp_path, make_rows(5), sep=",")
+        assert load_recording(path, spec)[0].length == 5
 
 
 class TestInterpolateNans:
