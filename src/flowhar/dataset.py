@@ -55,6 +55,13 @@ class DatasetSpec:
             subject_col = self.subject_col
         except ValueError as exc:
             raise ConfigError(f"bad subject column in {self.subject_source!r}") from exc
+        if subject_col is None:
+            try:
+                groups = re.compile(self.subject_source[len("filename:"):]).groups
+            except re.error as exc:
+                raise ConfigError(f"bad subject pattern in {self.subject_source!r}: {exc}") from exc
+            if groups < 1:
+                raise ConfigError(f"subject pattern {self.subject_source!r} has no group")
         cols = []
         for sc in self.sensors.values():
             cols.extend(sc.all_columns())
@@ -197,12 +204,13 @@ def _parse_rows(path):
             fields = stripped.replace(",", " ").split()
             if rows and len(fields) != len(rows[0]):
                 raise ParseError(
-                    f"row has {len(fields)} fields, expected {len(rows[0])}", line_no
+                    f"{path} line {line_no}: row has {len(fields)} fields, "
+                    f"expected {len(rows[0])}", line_no
                 )
             try:
                 rows.append([float(v) for v in fields])
             except ValueError as exc:
-                raise ParseError(f"malformed row: {exc}", line_no) from exc
+                raise ParseError(f"{path} line {line_no}: malformed row: {exc}", line_no) from exc
     return rows
 
 

@@ -10,6 +10,8 @@ import json
 import os
 import pathlib
 import time
+import traceback
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -147,6 +149,120 @@ def _saved_result(marker, subject, key):
     return None
 
 
+# A worker's BLAS reads these once, when NumPy loads it, so they are set in
+# the environment a worker starts with: one thread each keeps the workers
+# from contending for the CPUs they share.
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _train_subjects(subjects, data, labels, subject_ids, schema, model_config, train_config):
+    """Hold out each subject in turn and yield its SubjectResult: trained on
+    every other subject's windows and scored on its own.  A FlowError in one
+    subject gives an error row and the next subject is trained."""
+    for subject in subjects:
+        test = subject_ids == str(subject)
+        try:
+            if not test.any():
+                raise InvalidInputError(f"no windows for target subject {str(subject)!r}")
+            params = init_params(model_config, train_config.seed)
+            log = fit(data[~test], labels[~test], schema, params, model_config, train_config,
+                      test=(data[test], labels[test]))
+        except FlowError as exc:
+            yield SubjectResult(subject, error=str(exc))
+            continue
+        cm = log.records[-1].test_confusion
+        yield SubjectResult(subject, accuracy(cm), weighted_f1(cm), cm, log, params=params)
+
+
+def _worker(conn, subjects, shape, dtype, *share):
+    """A spawned worker.  It reads the stacked windows from conn as raw
+    bytes, then sends (row, warnings) for each of its subjects as it is
+    trained, or, if its share raises, the traceback text.  The warnings are
+    issued again by the parent, under the parent's filters."""
+    with conn, warnings.catch_warnings(record=True) as seen:
+        data = np.frombuffer(conn.recv_bytes(), dtype).reshape(shape)
+        try:
+            for row in _train_subjects(subjects, data, *share):
+                conn.send((row, [(w.message, w.filename, w.lineno) for w in seen]))
+                seen.clear()
+        except Exception:
+            conn.send(traceback.format_exc())
+
+
+def _receive(conn):
+    """The next row a worker sent; its warnings are issued here.  A worker
+    that failed or died raises."""
+    try:
+        msg = conn.recv()
+    except EOFError:
+        raise RuntimeError("a LOUO worker exited before sending all its subjects") from None
+    if isinstance(msg, str):
+        raise RuntimeError(f"a LOUO worker raised:\n{msg}")
+    row, warned = msg
+    for message, filename, lineno in warned:
+        warnings.warn_explicit(message, type(message), filename, lineno)
+    return row
+
+
+def _start_workers(shares, subjects, data, share):
+    """One spawned process per share of subject indices, as (process, end of
+    its pipe, indices still to receive); [] for no shares.  The processes are
+    started, and their arguments pickled, in the calling thread, with
+    _WORKER_ENV set in the environment they inherit.  The windows go over
+    the pipe straight from data's buffer: pickled with the arguments they
+    would cost this process a transient copy or two of themselves."""
+    if not shares:
+        return []
+    # Imported here: its dozen modules cost about 1 MB in every process that
+    # imports flowhar, and only a parallel sweep needs them.
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("spawn")
+    saved = {name: os.environ.get(name) for name in _WORKER_ENV}
+    os.environ.update(_WORKER_ENV)
+    workers = []
+    try:
+        for indices in shares:
+            conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(target=_worker, daemon=True, args=(
+                child_conn, [subjects[i] for i in indices], data.shape, data.dtype, *share))
+            proc.start()
+            child_conn.close()  # the worker holds it now; EOF here means it died
+            workers.append((proc, conn, list(indices)))
+            conn.send_bytes(data)
+    except BaseException:
+        _stop_workers(workers)
+        raise
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+    return workers
+
+
+def _stop_workers(workers):
+    """Terminate and join every worker.  One that sent all its rows is
+    exiting anyway; one still training, or blocked sending to a parent that
+    raised, would otherwise outlive the sweep or hang a join."""
+    for proc, conn, _ in workers:
+        proc.terminate()
+        proc.join()
+        conn.close()
+
+
+def _marker(cfg, subject):
+    return pathlib.Path(cfg.output_dir) / f"subject_{subject}.done.json"
+
+
 def run_louo(recordings, cfg):
     """Leave-one-user-out sweep over every target subject.
 
@@ -154,6 +270,13 @@ def run_louo(recordings, cfg):
     continues.  With an output dir, each completed subject leaves a marker
     file keyed by _result_key; with cfg.resume, a subject whose marker has
     this run's key is read back instead of trained, and any other is redone.
+
+    With w = min(subjects to train, usable CPUs) above 1, this process
+    trains every w-th subject from the first, and w - 1 spawned processes
+    train the others; rows, logs and params are the same bit for bit, and
+    the rows come back in subject order.  Only this process writes markers.
+    A script that calls run_louo therefore needs the usual
+    `if __name__ == "__main__":` guard.
     """
     start_time = time.time()
     mode_spec = MODE_SPECS[cfg.mode]
@@ -181,34 +304,36 @@ def run_louo(recordings, cfg):
     data, labels = stack_windows(windows, model_config.dtype)
     del windows  # the stack holds the data from here on
 
-    rows = []
-    for subject in subjects:
-        marker = None
-        if cfg.output_dir:
-            marker = pathlib.Path(cfg.output_dir) / f"subject_{subject}.done.json"
-            saved = _saved_result(marker, subject, key) if cfg.resume else None
-            if saved is not None:
-                rows.append(saved)
-                continue
-        test = subject_ids == str(subject)
-        try:
-            if not test.any():
-                raise InvalidInputError(f"no windows for target subject {str(subject)!r}")
-            params = init_params(model_config, cfg.train.seed)
-            log = fit(data[~test], labels[~test], schema, params, model_config, cfg.train,
-                      test=(data[test], labels[test]))
-        except FlowError as exc:
-            rows.append(SubjectResult(subject, error=str(exc)))
-            continue
-        cm = log.records[-1].test_confusion
-        row = SubjectResult(subject, accuracy(cm), weighted_f1(cm), cm, log, params=params)
-        rows.append(row)
-        if marker is not None:
+    rows = [None] * len(subjects)
+    if cfg.output_dir and cfg.resume:
+        rows = [_saved_result(_marker(cfg, subject), subject, key) for subject in subjects]
+    todo = [i for i, row in enumerate(rows) if row is None]
+
+    def finish(i, row):
+        rows[i] = row
+        if cfg.output_dir and row.error is None:
+            marker = _marker(cfg, row.subject)
             marker.parent.mkdir(parents=True, exist_ok=True)
             _write_atomic(marker, json.dumps({
                 "key": key, "accuracy": row.accuracy, "weighted_f1": row.weighted_f1,
-                "confusion": cm.tolist(),
+                "confusion": row.confusion.tolist(),
             }))
+
+    w = max(1, min(len(todo), _usable_cpus()))
+    share = (labels, subject_ids, schema, model_config, cfg.train)
+    workers = _start_workers([todo[k::w] for k in range(1, w)], subjects, data, share)
+    try:
+        mine = todo[0::w]
+        for i, row in zip(mine, _train_subjects([subjects[i] for i in mine], data, *share)):
+            finish(i, row)
+            for _, conn, pending in workers:  # take what has arrived meanwhile
+                while pending and conn.poll():
+                    finish(pending.pop(0), _receive(conn))
+        for _, conn, pending in workers:
+            while pending:
+                finish(pending.pop(0), _receive(conn))
+    finally:
+        _stop_workers(workers)
     ok = [r for r in rows if r.error is None]
     avg_acc = float(np.mean([r.accuracy for r in ok])) if ok else float("nan")
     avg_f1 = float(np.mean([r.weighted_f1 for r in ok])) if ok else float("nan")

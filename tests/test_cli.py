@@ -145,6 +145,32 @@ class TestTransform:
         assert capsys.readouterr().err.startswith("data error: ")
 
 
+    @pytest.mark.parametrize("pattern", ["subj(\\d+", "subj\\d+"], ids=["unclosed", "no_group"])
+    def test_bad_subject_pattern_exits_1(self, tmp_path, capsys, pattern):
+        spec = tmp_path / "synth.spec"
+        spec.write_text(SPEC_TEXT.replace("filename:subj(\\d+)", "filename:" + pattern))
+        rec = synth(tmp_path / "subj0_static", label=0, seed=0)
+        code = main(["transform", "--spec", str(spec), "--input", rec,
+                     "--output", str(tmp_path / "out.txt")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("bad_line", ["oops 1 2 3 4 5 6 7 8 9", "0 1 2"], ids=["value", "ragged"])
+    def test_malformed_recording_names_file_and_line(self, corpus, tmp_path, capsys, bad_line):
+        spec, files = corpus
+        lines = open(files[1]).read().splitlines()
+        assert lines[0].startswith("#")  # so the data's second row is line 3
+        lines[2] = bad_line
+        bad = tmp_path / "subj9_bad.rec"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["louo", "--spec", str(spec), "--data", files[0], str(bad), files[2],
+                     "--mode", "vL_only", "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"data error: {bad} line 3: ")
+        assert files[0] not in err and files[2] not in err
+
+
 class TestTrainEval:
     def test_train_then_eval(self, corpus, tmp_path, capsys):
         spec, files = corpus

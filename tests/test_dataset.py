@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import os
 import pathlib
 import re
 import sys
@@ -645,6 +646,8 @@ class TestLouoSplit:
         return recordings, cfg, harness.run_louo(recordings, cfg), fits
 
     def test_exact_partition(self, monkeypatch):
+        # One CPU: fake_fit sees every subject only when none trains in a worker.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         recordings, cfg, report, fits = self._run(monkeypatch)
         windows = build_windows(recordings, "local", cfg.win_len, cfg.stride, cfg.label_map)
         subjects = ["u0", "u1", "u2"]

@@ -1,12 +1,19 @@
 """Experiment orchestration tests: LOUO sweeps, ablation arms, reports."""
 
+import contextlib
 import json
+import multiprocessing
+import os
 import pathlib
+import pickle
+import signal
+import time
+import warnings
 
 import numpy as np
 import pytest
 
-from flowhar import trainer
+from flowhar import harness, trainer
 from flowhar.attitude import MahonyParams
 from flowhar.dataset import Window
 from flowhar.errors import ConfigError
@@ -14,6 +21,7 @@ from flowhar.harness import (
     MODE_SPECS,
     MODES,
     ExperimentConfig,
+    SubjectResult,
     emit_report,
     load_summary,
     run_louo,
@@ -50,6 +58,12 @@ def tiny_config(mode="vG_only", **kwargs):
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+def usable_cpus(monkeypatch, n):
+    """Make run_louo see n usable CPUs: 1 trains every subject in this
+    process, n > 1 starts min(n, subjects) - 1 workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 class TestExperimentConfig:
@@ -147,6 +161,7 @@ class TestRunLouo:
             return real(data, labels, params, config)
 
         monkeypatch.setattr(trainer, "evaluate", counting)
+        usable_cpus(monkeypatch, 1)  # a worker's evaluate calls are not seen here
         train = TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=3)
         report = run_louo(tiny_population(num_users=3), tiny_config(train=train))
         held_out = [int(rec.test_confusion.sum()) for row in report.rows
@@ -245,6 +260,167 @@ class TestRunLouo:
         assert resumed.rows[1].log is None  # its marker is whole
         assert [r.accuracy for r in resumed.rows] == [r.accuracy for r in first.rows]
         assert json.loads(marker.read_text()) == saved
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the main thread after `seconds`, so a sweep that
+    hangs on a worker fails its test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Stand-ins for harness._worker.  A spawned process finds them by importing
+# this module, so they live at module level.
+
+def _env_worker(conn, subjects, *share):
+    """Send each subject an error row whose text is the worker's BLAS
+    thread variables."""
+    env = json.dumps({name: os.environ.get(name) for name in harness._WORKER_ENV})
+    with conn:
+        conn.recv_bytes()  # the windows
+        for subject in subjects:
+            conn.send((SubjectResult(subject, error=env), []))
+
+
+def _raising_worker(conn, subjects, *share):
+    """The real worker, with a fit that raises something other than a
+    FlowError."""
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("broken fit")
+
+    harness.fit = broken
+    harness._worker(conn, subjects, *share)
+
+
+def _warning_worker(conn, subjects, *share):
+    """The real worker, with a share that warns before each row."""
+    def warn_then_fail_rows(subjects, *share):
+        for subject in subjects:
+            warnings.warn("overflow in a worker", RuntimeWarning)
+            yield SubjectResult(subject, error="not trained")
+
+    harness._train_subjects = warn_then_fail_rows
+    harness._worker(conn, subjects, *share)
+
+
+def _blocked_worker(conn, subjects, *share):
+    """Block in send: far more than a pipe holds, to a parent that reads
+    only after its own share."""
+    conn.recv_bytes()  # the windows
+    conn.send(bytes(1 << 24))
+
+
+def _fit_spy(monkeypatch, before=None):
+    """Patch harness.fit in this process, not in workers, to call before()
+    first; return the list of held-out label counts it was called with."""
+    calls = []
+
+    def spy(data, labels, *args, test=None):
+        calls.append(len(test[1]))
+        if before is not None:
+            before()
+        return fit(data, labels, *args, test=test)
+
+    monkeypatch.setattr(harness, "fit", spy)
+    return calls
+
+
+def _fail():
+    raise ValueError("fit failed in the parent")
+
+
+def _wait_for_workers_to_exit():
+    while multiprocessing.active_children():
+        time.sleep(0.01)
+
+
+class TestParallelLouo:
+    """run_louo trains every w-th subject itself and the rest in w - 1
+    spawned workers, w = min(subjects to train, usable CPUs)."""
+
+    def _run(self, monkeypatch, cpus, out, before=None, **kwargs):
+        usable_cpus(monkeypatch, cpus)
+        fits = _fit_spy(monkeypatch, before)
+        train = TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=3)
+        with time_limit(120):
+            report = run_louo(tiny_population(num_users=3),
+                              tiny_config(mode="flow", train=train, output_dir=str(out), **kwargs))
+        assert multiprocessing.active_children() == []
+        return report, fits
+
+    def test_processes_equal_one_cpu(self, tmp_path, monkeypatch):
+        par, par_fits = self._run(monkeypatch, 2, tmp_path / "par")
+        one, one_fits = self._run(monkeypatch, 1, tmp_path / "one")
+        # Two subjects trained here, one in the worker; with one CPU, all here.
+        assert len(par_fits) == 2 and len(one_fits) == 3
+        assert [r.subject for r in par.rows] == [r.subject for r in one.rows] == ["u0", "u1", "u2"]
+        for a, b in zip(par.rows, one.rows):
+            assert (a.accuracy, a.weighted_f1, a.error) == (b.accuracy, b.weighted_f1, b.error)
+            assert np.array_equal(a.confusion, b.confusion)
+            assert pickle.dumps(a.log) == pickle.dumps(b.log)
+            assert a.params.keys() == b.params.keys()
+            for name in a.params:
+                assert a.params[name].data.dtype == b.params[name].data.dtype
+                assert np.array_equal(a.params[name].data, b.params[name].data)
+        for name in ("subject_u0.done.json", "subject_u1.done.json", "subject_u2.done.json"):
+            assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    def test_resumed_subjects_are_not_shared_out(self, tmp_path, monkeypatch):
+        self._run(monkeypatch, 1, tmp_path / "sweep")
+        (tmp_path / "sweep" / "subject_u1.done.json").unlink()
+        report, fits = self._run(monkeypatch, 2, tmp_path / "sweep", resume=True)
+        # One subject to train: w = 1, so no worker, and the rest read back.
+        assert len(fits) == 1 and [r.log is None for r in report.rows] == [True, False, True]
+
+    def test_error_row_from_worker(self, tmp_path, monkeypatch):
+        # The worker sends its row and exits while u0 trains here: its pipe
+        # then reads as ready (EOF) with nothing left to receive.
+        report, fits = self._run(monkeypatch, 2, tmp_path / "sweep",
+                                 before=_wait_for_workers_to_exit,
+                                 target_subjects=("u0", "nosuch"))
+        assert len(fits) == 1
+        assert report.rows[0].error is None
+        assert report.rows[1].error == "no windows for target subject 'nosuch'"
+
+    def test_worker_blas_on_one_thread(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_worker", _env_worker)
+        before = {name: os.environ.get(name) for name in harness._WORKER_ENV}
+        report, _ = self._run(monkeypatch, 2, tmp_path / "sweep")
+        assert json.loads(report.rows[1].error) == dict.fromkeys(harness._WORKER_ENV, "1")
+        assert {name: os.environ.get(name) for name in harness._WORKER_ENV} == before
+
+    def test_worker_exception_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_worker", _raising_worker)
+        with pytest.raises(RuntimeError, match="ZeroDivisionError: broken fit"):
+            self._run(monkeypatch, 2, tmp_path / "sweep")
+        assert multiprocessing.active_children() == []
+        # u0, trained here, was marked before the worker's failure arrived.
+        marked = {p.name for p in (tmp_path / "sweep").iterdir()}
+        assert "subject_u0.done.json" in marked and "subject_u1.done.json" not in marked
+
+    def test_parent_exception_stops_blocked_worker(self, tmp_path, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        _fit_spy(monkeypatch, _fail)
+        monkeypatch.setattr(harness, "_worker", _blocked_worker)
+        with time_limit(60), pytest.raises(ValueError, match="fit failed in the parent"):
+            run_louo(tiny_population(num_users=3), tiny_config())
+        assert multiprocessing.active_children() == []
+
+    def test_worker_warnings_reach_the_parent(self, tmp_path, monkeypatch):
+        # pytest turns RuntimeWarning into an error here, as in the serial sweep.
+        monkeypatch.setattr(harness, "_worker", _warning_worker)
+        with pytest.raises(RuntimeWarning, match="overflow in a worker"):
+            self._run(monkeypatch, 2, tmp_path / "sweep")
+        assert multiprocessing.active_children() == []
 
 
 class _Killed(BaseException):
