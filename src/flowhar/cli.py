@@ -322,6 +322,8 @@ def main(argv=None):
             raise ConfigError("stride must be >= 1")
         if args.command == "train" and not args.target:
             raise ConfigError("train requires --target (the held-out subject)")
+        if args.command == "train" and "," in args.target:
+            raise ConfigError(f"train holds out one subject; --target {args.target} names several")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ import pathlib
 import time
 import traceback
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -74,6 +75,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
+        # A repeat would train its subject twice and write its marker twice.
+        repeated = [s for s, n in Counter(self.target_subjects).items() if n > 1]
+        if repeated:
+            raise ConfigError(f"target_subjects repeats {', '.join(map(str, repeated))}")
 
 
 @dataclass
@@ -211,13 +216,27 @@ def _receive(conn):
     return row
 
 
+def _shares(todo, cpus):
+    """Split the subject indices todo into shares, one per process, so that
+    the processes finish together on `cpus` CPUs shared fairly.  With q, r =
+    divmod(len(todo), cpus), the first len(todo) - r go round-robin into
+    cpus shares of q, and each of the last r gets a share of its own: at
+    most 2 * cpus - 1 shares, none longer than ceil(len(todo) / cpus), and
+    the first holds todo[0].  [] for no subjects."""
+    head = len(todo) - len(todo) % cpus
+    return [todo[k:head:cpus] for k in range(min(cpus, head))] + [[i] for i in todo[head:]]
+
+
 def _start_workers(shares, subjects, data, share):
     """One spawned process per share of subject indices, as (process, end of
     its pipe, indices still to receive); [] for no shares.  The processes are
     started, and their arguments pickled, in the calling thread, with
-    _WORKER_ENV set in the environment they inherit.  The windows go over
-    the pipe straight from data's buffer: pickled with the arguments they
-    would cost this process a transient copy or two of themselves."""
+    _WORKER_ENV set in the environment they inherit.  Every process is
+    started before any is sent the windows: a send waits for its worker to
+    import NumPy and flowhar, and so those imports run side by side.  The
+    windows go over the pipe straight from data's buffer: pickled with the
+    arguments they would cost this process a transient copy or two of
+    themselves.  Each worker then holds a copy of them."""
     if not shares:
         return []
     # Imported here: its dozen modules cost about 1 MB in every process that
@@ -236,6 +255,7 @@ def _start_workers(shares, subjects, data, share):
             proc.start()
             child_conn.close()  # the worker holds it now; EOF here means it died
             workers.append((proc, conn, list(indices)))
+        for _, conn, _ in workers:
             conn.send_bytes(data)
     except BaseException:
         _stop_workers(workers)
@@ -271,11 +291,15 @@ def run_louo(recordings, cfg):
     file keyed by _result_key; with cfg.resume, a subject whose marker has
     this run's key is read back instead of trained, and any other is redone.
 
-    With w = min(subjects to train, usable CPUs) above 1, this process
-    trains every w-th subject from the first, and w - 1 spawned processes
-    train the others; rows, logs and params are the same bit for bit, and
-    the rows come back in subject order.  Only this process writes markers.
-    A script that calls run_louo therefore needs the usual
+    The subjects to train are split by _shares over the usable CPUs.  This
+    process trains the first share, the one holding the first subject, and
+    one spawned process trains each other share.  With n subjects on c
+    CPUs, the round-robin shares of n // c run beside one process for each
+    of the n % c left over: at most 2c - 1 processes in all, and with one
+    CPU no worker.  Each worker holds its own copy of the windows.  Rows,
+    logs and params are the same bit for bit, and the rows come back in
+    subject order.  Only this process writes markers.  Workers are spawned,
+    so a script that calls run_louo needs the usual
     `if __name__ == "__main__":` guard.
     """
     start_time = time.time()
@@ -319,11 +343,10 @@ def run_louo(recordings, cfg):
                 "confusion": row.confusion.tolist(),
             }))
 
-    w = max(1, min(len(todo), _usable_cpus()))
+    mine, *others = _shares(todo, _usable_cpus()) or [[]]
     share = (labels, subject_ids, schema, model_config, cfg.train)
-    workers = _start_workers([todo[k::w] for k in range(1, w)], subjects, data, share)
+    workers = _start_workers(others, subjects, data, share)
     try:
-        mine = todo[0::w]
         for i, row in zip(mine, _train_subjects([subjects[i] for i in mine], data, *share)):
             finish(i, row)
             for _, conn, pending in workers:  # take what has arrived meanwhile

@@ -369,6 +369,22 @@ class TestBadInput:
         assert main(argv) == 1
         assert "config error: train requires --target" in capsys.readouterr().err
 
+    def test_train_with_several_targets_exits_1_before_reading_data(self, corpus, tmp_path,
+                                                                    capsys):
+        spec, files = corpus
+        argv = self._argv("train", spec, [*files, str(tmp_path / "nope")])
+        argv[argv.index("--target") + 1] = "0,1"
+        assert main(argv) == 1
+        assert "config error: train holds out one subject" in capsys.readouterr().err
+
+    def test_louo_with_a_repeated_target_exits_1(self, corpus, tmp_path, capsys):
+        spec, files = corpus
+        argv = self._argv("louo", spec, files)
+        argv[argv.index("--target") + 1] = "0,1,0"
+        assert main([*argv, "--out", str(tmp_path / "sweep")]) == 1
+        assert "config error: target_subjects repeats 0" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()  # nothing trained, no marker
+
     @pytest.mark.parametrize("flag, value", [
         ("--stride", "abc"), ("--mode", "bogus"),
         ("--warmup", "nan"), ("--warmup", "inf"), ("--lr", "nan"), ("--lr", "-1"),

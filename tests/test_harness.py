@@ -3,6 +3,7 @@
 import contextlib
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import pathlib
 import pickle
@@ -62,7 +63,7 @@ def tiny_config(mode="vG_only", **kwargs):
 
 def usable_cpus(monkeypatch, n):
     """Make run_louo see n usable CPUs: 1 trains every subject in this
-    process, n > 1 starts min(n, subjects) - 1 workers."""
+    process, n > 1 starts one worker per share but the first (_shares)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
@@ -70,6 +71,11 @@ class TestExperimentConfig:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(mode="bogus")
+
+    @pytest.mark.parametrize("targets", [("u0", "u0"), ("u0", "u1", "u0")])
+    def test_repeated_target_subject(self, targets):
+        with pytest.raises(ConfigError, match="target_subjects repeats u0"):
+            ExperimentConfig(target_subjects=targets)
 
 
 class TestModeSpecs:
@@ -343,16 +349,40 @@ def _wait_for_workers_to_exit():
         time.sleep(0.01)
 
 
-class TestParallelLouo:
-    """run_louo trains every w-th subject itself and the rest in w - 1
-    spawned workers, w = min(subjects to train, usable CPUs)."""
+class TestShares:
+    @pytest.mark.parametrize("n, cpus, expected", [
+        (3, 2, [[0], [1], [2]]),
+        (4, 2, [[0, 2], [1, 3]]),
+        (5, 2, [[0, 2], [1, 3], [4]]),
+        (9, 4, [[0, 4], [1, 5], [2, 6], [3, 7], [8]]),
+        (5, 1, [[0, 1, 2, 3, 4]]),
+        (1, 4, [[0]]),
+        (2, 3, [[0], [1]]),
+        (0, 2, []),
+    ])
+    def test_table(self, n, cpus, expected):
+        todo = [10 + i for i in range(n)]  # indices left to train need not start at 0
+        shares = harness._shares(todo, cpus)
+        assert shares == [[10 + i for i in share] for share in expected]
+        assert sorted(i for share in shares for i in share) == todo
+        assert len(shares) <= 2 * cpus - 1
+        assert all(len(share) <= -(-n // cpus) for share in shares)
+        if n:
+            assert shares[0][0] == todo[0]
+        if n <= cpus:  # one subject per process, as in a plain round-robin
+            assert shares == [todo[k::n] for k in range(n)]
 
-    def _run(self, monkeypatch, cpus, out, before=None, **kwargs):
+
+class TestParallelLouo:
+    """run_louo trains the first of _shares(subjects to train, usable CPUs)
+    itself and each other share in a spawned worker."""
+
+    def _run(self, monkeypatch, cpus, out, before=None, num_users=3, **kwargs):
         usable_cpus(monkeypatch, cpus)
         fits = _fit_spy(monkeypatch, before)
         train = TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=3)
         with time_limit(120):
-            report = run_louo(tiny_population(num_users=3),
+            report = run_louo(tiny_population(num_users=num_users),
                               tiny_config(mode="flow", train=train, output_dir=str(out), **kwargs))
         assert multiprocessing.active_children() == []
         return report, fits
@@ -360,8 +390,9 @@ class TestParallelLouo:
     def test_processes_equal_one_cpu(self, tmp_path, monkeypatch):
         par, par_fits = self._run(monkeypatch, 2, tmp_path / "par")
         one, one_fits = self._run(monkeypatch, 1, tmp_path / "one")
-        # Two subjects trained here, one in the worker; with one CPU, all here.
-        assert len(par_fits) == 2 and len(one_fits) == 3
+        # One subject trained here and one in each of two workers; with one
+        # CPU, all here.
+        assert len(par_fits) == 1 and len(one_fits) == 3
         assert [r.subject for r in par.rows] == [r.subject for r in one.rows] == ["u0", "u1", "u2"]
         for a, b in zip(par.rows, one.rows):
             assert (a.accuracy, a.weighted_f1, a.error) == (b.accuracy, b.weighted_f1, b.error)
@@ -373,6 +404,49 @@ class TestParallelLouo:
                 assert np.array_equal(a.params[name].data, b.params[name].data)
         for name in ("subject_u0.done.json", "subject_u1.done.json", "subject_u2.done.json"):
             assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    def test_uneven_shares_equal_one_cpu(self, tmp_path, monkeypatch):
+        started = []
+        start = harness._start_workers
+
+        def recording_start(shares, *args):
+            started.extend(shares)
+            return start(shares, *args)
+
+        monkeypatch.setattr(harness, "_start_workers", recording_start)
+        par, par_fits = self._run(monkeypatch, 2, tmp_path / "par", num_users=5)
+        # Shares [[0, 2], [1, 3], [4]]: u0 and u2 here, the rest in two workers.
+        assert started == [[1, 3], [4]] and len(par_fits) == 2
+        one, one_fits = self._run(monkeypatch, 1, tmp_path / "one", num_users=5)
+        assert started == [[1, 3], [4]] and len(one_fits) == 5  # no worker on one CPU
+        assert par_fits == one_fits[0:3:2]
+        subjects = ["u0", "u1", "u2", "u3", "u4"]
+        assert [r.subject for r in par.rows] == [r.subject for r in one.rows] == subjects
+        for a, b in zip(par.rows, one.rows):
+            assert (a.accuracy, a.weighted_f1, a.error) == (b.accuracy, b.weighted_f1, b.error)
+            assert np.array_equal(a.confusion, b.confusion)
+            assert pickle.dumps(a.log) == pickle.dumps(b.log)
+            assert a.params.keys() == b.params.keys()
+            for name in a.params:
+                assert a.params[name].data.dtype == b.params[name].data.dtype
+                assert np.array_equal(a.params[name].data, b.params[name].data)
+        for subject in subjects:
+            name = f"subject_{subject}.done.json"
+            assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    def test_every_worker_started_before_windows_are_sent(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_worker", _env_worker)
+        running = []
+        send_bytes = multiprocessing.connection.Connection.send_bytes
+
+        def counting_send_bytes(conn, *args, **kwargs):
+            running.append(len(multiprocessing.active_children()))
+            return send_bytes(conn, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send_bytes",
+                            counting_send_bytes)
+        self._run(monkeypatch, 2, tmp_path / "sweep")
+        assert running == [2, 2]
 
     def test_resumed_subjects_are_not_shared_out(self, tmp_path, monkeypatch):
         self._run(monkeypatch, 1, tmp_path / "sweep")
