@@ -169,7 +169,7 @@ def _experiment_config(args, spec):
         train=TrainConfig(
             epochs=args.epochs, batch_size=args.batch, lr=args.lr, seed=args.seed
         ),
-        mahony=MahonyParams(warmup_seconds=args.warmup),
+        warmup_seconds=args.warmup,
         output_dir=args.out,
         resume=getattr(args, "resume", False),
     )
@@ -206,7 +206,8 @@ def cmd_eval(args):
     if args.target:
         windows = [w for w in windows if w.subject_id == args.target]
     if not windows:
-        raise DataError("no evaluable windows")
+        raise DataError(f"no windows for target subject {args.target!r}" if args.target
+                        else "no evaluable windows")
     data, labels = stack_windows(windows, config.dtype)
     _, _, cm = evaluate(data, labels, params, config)
     print(f"accuracy={accuracy(cm):.4f} weighted_f1={weighted_f1(cm):.4f}")
@@ -324,6 +325,8 @@ def main(argv=None):
             raise ConfigError("train requires --target (the held-out subject)")
         if args.command == "train" and "," in args.target:
             raise ConfigError(f"train holds out one subject; --target {args.target} names several")
+        if args.command == "eval" and "," in args.target:
+            raise ConfigError(f"eval scores one subject; --target {args.target} names several")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -345,40 +345,36 @@ def decimate(rec, factor):
     )
 
 
-def _majority_label(raw_labels, label_map):
-    codes, counts = np.unique(raw_labels, return_counts=True)
-    best = counts.max()
-    candidates = codes[counts == best]
-    mapped = [label_map.get(int(c)) for c in candidates]
-    known = [m for m in mapped if m is not None]
-    if not known:
-        return None
-    return min(known)
-
-
 def segment_windows(data, labels, valid, subject_id, win_len, stride, label_map):
     """Slide a window over an assembled (t, c) channel matrix.
 
-    Windows overlapping invalid regions, or whose majority raw label is not
-    in the label map, are dropped.  A stream shorter than win_len yields an
-    empty list.
+    Windows overlapping invalid or non-finite rows, or whose majority raw
+    label is not in the label map, are dropped; ties go to the smallest
+    mapped class.  A stream shorter than win_len yields an empty list.
     """
-    if stride < 1:
-        raise InvalidInputError("stride must be >= 1")
-    t = data.shape[0]
-    out = []
-    for start in range(0, t - win_len + 1, stride):
-        seg = slice(start, start + win_len)
-        if not valid[seg].all():
-            continue
-        label = _majority_label(labels[seg], label_map)
-        if label is None:
-            continue
-        block = data[seg]
-        if not np.all(np.isfinite(block)):
-            continue
-        out.append(Window(data=block.copy(), label=label, subject_id=subject_id))
-    return out
+    if stride < 1 or win_len < 1:
+        raise InvalidInputError("stride and win_len must be >= 1")
+    starts = np.arange(0, len(data) - win_len + 1, stride)
+    bad_before = np.concatenate([[0], np.cumsum(~valid | ~np.isfinite(data).all(axis=1))])
+    starts = starts[bad_before[starts + win_len] == bad_before[starts]]
+    if not starts.size:
+        return []
+    # counts[w, k]: the rows of window w whose raw label is codes[k].
+    codes, code_ix = np.unique(labels, return_inverse=True)
+    rows = starts[:, None] + np.arange(win_len)
+    pairs = np.arange(len(starts))[:, None] * len(codes) + code_ix[rows]
+    counts = np.bincount(pairs.ravel(), minlength=len(starts) * len(codes)).reshape(len(starts), -1)
+    known = np.array([int(c) in label_map for c in codes])
+    mapped = np.array([label_map.get(int(c), 0) for c in codes])
+    # Mapped codes first, by class: a window's first top code in this order is
+    # its smallest mapped class, or an unmapped code when none of them maps.
+    order = np.lexsort((mapped, ~known))
+    pick = order[counts[:, order].argmax(axis=1)]
+    keep = known[pick]
+    return [
+        Window(data=data[s:s + win_len].copy(), label=label, subject_id=subject_id)
+        for s, label in zip(starts[keep].tolist(), mapped[pick[keep]].tolist())
+    ]
 
 
 def assemble_channels(rec, mode, mahony_params=None):
@@ -397,10 +393,8 @@ def assemble_channels(rec, mode, mahony_params=None):
         matrix = np.concatenate([rec.sensors[n] for n in names], axis=1)
         return matrix, rec.labels.copy(), rec.valid.copy()
 
-    if mahony_params is None:
-        mahony_params = MahonyParams(sample_rate_hz=rec.sample_rate_hz)
-    elif mahony_params.sample_rate_hz != rec.sample_rate_hz:
-        mahony_params = replace(mahony_params, sample_rate_hz=rec.sample_rate_hz)
+    # The filter runs at the recording's own rate, whatever mahony_params says.
+    mahony_params = replace(mahony_params or MahonyParams(), sample_rate_hz=rec.sample_rate_hz)
     blocks = []
     trim = None
     for n in names:

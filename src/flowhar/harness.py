@@ -67,7 +67,7 @@ class ExperimentConfig:
     num_classes: int = 0
     target_subjects: tuple = ()  # empty -> every subject in the data
     train: TrainConfig = field(default_factory=TrainConfig)
-    mahony: MahonyParams = field(default_factory=MahonyParams)
+    warmup_seconds: float = 1.0  # M&C warm-up trimmed from each recording
     model_overrides: dict = field(default_factory=dict)  # ModelConfig kwargs
     output_dir: str | None = None
     resume: bool = False
@@ -79,6 +79,7 @@ class ExperimentConfig:
         repeated = [s for s, n in Counter(self.target_subjects).items() if n > 1]
         if repeated:
             raise ConfigError(f"target_subjects repeats {', '.join(map(str, repeated))}")
+        MahonyParams(warmup_seconds=self.warmup_seconds)  # ConfigError for a bad warm-up
 
 
 @dataclass
@@ -320,7 +321,7 @@ def run_louo(recordings, cfg):
         cfg.win_len,
         cfg.stride,
         cfg.label_map,
-        cfg.mahony,
+        MahonyParams(warmup_seconds=cfg.warmup_seconds),
     )
     subjects = list(cfg.target_subjects) or sorted({w.subject_id for w in windows})
     key = _result_key(cfg, model_config, windows) if cfg.output_dir else None

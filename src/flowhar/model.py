@@ -209,7 +209,8 @@ def load_checkpoint(path):
     A file that save_checkpoint did not write raises DataError, and so do
     parameters other than the names, shapes and dtypes init_params builds."""
     try:
-        with np.load(path) as archive:
+        # np.load(path) would leave the file open when the archive is corrupt.
+        with open(path, "rb") as fh, np.load(fh) as archive:
             meta = json.loads(archive["meta"].tobytes().decode())
             config = ModelConfig(**meta["config"])
             seed, mode = meta["seed"], meta.get("mode")

@@ -1,5 +1,6 @@
 """End-to-end command line tests driven through flowhar.cli.main."""
 
+import pathlib
 import shlex
 
 import numpy as np
@@ -158,7 +159,7 @@ class TestTransform:
     @pytest.mark.parametrize("bad_line", ["oops 1 2 3 4 5 6 7 8 9", "0 1 2"], ids=["value", "ragged"])
     def test_malformed_recording_names_file_and_line(self, corpus, tmp_path, capsys, bad_line):
         spec, files = corpus
-        lines = open(files[1]).read().splitlines()
+        lines = pathlib.Path(files[1]).read_text().splitlines()
         assert lines[0].startswith("#")  # so the data's second row is line 3
         lines[2] = bad_line
         bad = tmp_path / "subj9_bad.rec"
@@ -376,6 +377,21 @@ class TestBadInput:
         argv[argv.index("--target") + 1] = "0,1"
         assert main(argv) == 1
         assert "config error: train holds out one subject" in capsys.readouterr().err
+
+    def test_eval_with_several_targets_exits_1_before_reading_files(self, corpus, tmp_path,
+                                                                   capsys):
+        _, files = corpus
+        nope = str(tmp_path / "nope")
+        argv = self._argv("eval", nope, [*files, nope], nope)
+        assert main([*argv, "--target", "0,1"]) == 1
+        assert "config error: eval scores one subject" in capsys.readouterr().err
+
+    def test_eval_of_a_target_without_windows_exits_2(self, corpus, tmp_path, capsys):
+        spec, files = corpus
+        argv = self._argv("eval", spec, files, self._checkpoint(tmp_path))
+        assert main([*argv, "--target", "9"]) == 2
+        assert ("data error: no windows for target subject '9'"
+                in capsys.readouterr().err)
 
     def test_louo_with_a_repeated_target_exits_1(self, corpus, tmp_path, capsys):
         spec, files = corpus

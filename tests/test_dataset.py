@@ -561,20 +561,26 @@ def segment_windows_scan(data, labels, valid, win_len, stride, label_map):
     return kept
 
 
+# Raw label codes are sparse and may be negative or large, as in OPPORTUNITY.
+CODE_POOL = (-7, 0, 1, 5, 406516)
+
+
 class TestSegmentWindows:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         st.integers(0, 40),
-        st.integers(1, 10),
-        st.integers(1, 8),
-        st.dictionaries(st.integers(0, 4), st.integers(0, 3)),
+        st.integers(1, 48),  # may exceed t
+        st.integers(1, 16),  # may exceed win_len
+        # Class indices are not checked to be non-negative here.
+        st.dictionaries(st.sampled_from(CODE_POOL), st.integers(-2, 3)),
         st.integers(0, 2**32 - 1),
     )
     def test_matches_brute_force_scan(self, t, win_len, stride, label_map, seed):
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(t, 2))
         data[rng.random(size=(t, 2)) < 0.03] = np.nan
-        labels = rng.integers(0, 5, size=t)
+        data[rng.random(size=t) < 0.03] = np.nan  # whole rows
+        labels = rng.choice(CODE_POOL, size=t)
         valid = rng.random(size=t) > 0.05
         out = segment_windows(data, labels, valid, "s", win_len, stride, label_map)
         expected = segment_windows_scan(data, labels, valid, win_len, stride, label_map)
@@ -618,6 +624,12 @@ class TestSegmentWindows:
         valid = np.ones(4, dtype=bool)
         out = segment_windows(data, labels, valid, "s", 4, 4, {2: 0})
         assert out == []
+
+    @pytest.mark.parametrize("win_len, stride", [(0, 1), (-3, 1), (4, 0)])
+    def test_window_or_stride_below_one_rejected(self, win_len, stride):
+        with pytest.raises(InvalidInputError):
+            segment_windows(np.zeros((8, 2)), np.zeros(8, int), np.ones(8, bool), "s",
+                            win_len, stride, {0: 0})
 
     def test_short_stream_yields_empty(self):
         out = segment_windows(np.zeros((3, 2)), np.zeros(3, int), np.ones(3, bool), "s", 10, 5, {0: 0})

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -15,7 +16,6 @@ import numpy as np
 import pytest
 
 from flowhar import harness, trainer
-from flowhar.attitude import MahonyParams
 from flowhar.dataset import Window
 from flowhar.errors import ConfigError
 from flowhar.harness import (
@@ -76,6 +76,11 @@ class TestExperimentConfig:
     def test_repeated_target_subject(self, targets):
         with pytest.raises(ConfigError, match="target_subjects repeats u0"):
             ExperimentConfig(target_subjects=targets)
+
+    @pytest.mark.parametrize("warmup", [-1.0, math.nan, math.inf])
+    def test_bad_warmup(self, warmup):
+        with pytest.raises(ConfigError, match="warmup_seconds"):
+            ExperimentConfig(warmup_seconds=warmup)
 
 
 class TestModeSpecs:
@@ -224,7 +229,7 @@ class TestRunLouo:
         dict(train=TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=4)),
         dict(train=TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=3)),
         dict(mode="vL_only"),
-        dict(mahony=MahonyParams(warmup_seconds=2.0)),
+        dict(warmup_seconds=2.0),
         dict(model_overrides=dict(TINY_MODEL, lstm_hidden=5)),
     ], ids=["seed", "epochs", "mode", "mahony", "model_overrides"])
     def test_resume_redoes_markers_of_another_config(self, tmp_path, change):
@@ -569,7 +574,7 @@ class TestEmitReport:
         config = summary["config"]
         assert not {"target_subjects", "output_dir", "resume"} & set(config)
         assert config["train"] == {"epochs": 1, "batch_size": 8, "lr": 1e-3, "seed": 3}
-        assert config["mahony"]["warmup_seconds"] == 1.0
+        assert config["warmup_seconds"] == 1.0
         assert config["model_overrides"] == TINY_MODEL
         assert config["model"]["lstm_hidden"] == 4 and config["model"]["n"] == 1
 
