@@ -321,6 +321,9 @@ def main(argv=None):
         # segment_windows would reject it too, but as a runtime failure (exit 3).
         if getattr(args, "stride", 1) < 1:
             raise ConfigError("stride must be >= 1")
+        # interpolate_nans would treat it as 0 without a word.
+        if getattr(args, "max_gap", 0) < 0:
+            raise ConfigError("max-gap must be >= 0")
         if args.command == "train" and not args.target:
             raise ConfigError("train requires --target (the held-out subject)")
         if args.command == "train" and "," in args.target:

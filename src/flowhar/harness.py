@@ -22,7 +22,7 @@ from .dataset import build_windows
 from .errors import ConfigError, FlowError, InvalidInputError
 from .metrics import accuracy, weighted_f1
 from .model import ModelConfig, init_params
-from .trainer import TrainConfig, TrainLog, fit, stack_windows
+from .trainer import TrainConfig, TrainLog, fit, stack_windows, usable_cpus
 from .views import ChannelLayout, ViewSchema, build_schema
 
 
@@ -161,17 +161,12 @@ def _saved_result(marker, subject, key):
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _train_subjects(subjects, data, labels, subject_ids, schema, model_config, train_config):
+def _train_subjects(subjects, data, labels, subject_ids, schema, model_config, train_config,
+                    cpus):
     """Hold out each subject in turn and yield its SubjectResult: trained on
-    every other subject's windows and scored on its own.  A FlowError in one
-    subject gives an error row and the next subject is trained."""
+    every other subject's windows and scored on its own, on `cpus` CPUs.  A
+    FlowError in one subject gives an error row and the next subject is
+    trained."""
     for subject in subjects:
         test = subject_ids == str(subject)
         try:
@@ -179,7 +174,7 @@ def _train_subjects(subjects, data, labels, subject_ids, schema, model_config, t
                 raise InvalidInputError(f"no windows for target subject {str(subject)!r}")
             params = init_params(model_config, train_config.seed)
             log = fit(data[~test], labels[~test], schema, params, model_config, train_config,
-                      test=(data[test], labels[test]))
+                      test=(data[test], labels[test]), cpus=cpus)
         except FlowError as exc:
             yield SubjectResult(subject, error=str(exc))
             continue
@@ -297,11 +292,13 @@ def run_louo(recordings, cfg):
     one spawned process trains each other share.  With n subjects on c
     CPUs, the round-robin shares of n // c run beside one process for each
     of the n % c left over: at most 2c - 1 processes in all, and with one
-    CPU no worker.  Each worker holds its own copy of the windows.  Rows,
-    logs and params are the same bit for bit, and the rows come back in
-    subject order.  Only this process writes markers.  Workers are spawned,
-    so a script that calls run_louo needs the usual
-    `if __name__ == "__main__":` guard.
+    CPU no worker.  Each process scores its subjects on c // (processes)
+    CPUs, at least one, so only a sweep with fewer processes than CPUs
+    splits a prediction batch across threads (predict_batch).  Each worker
+    holds its own copy of the windows.  Rows, logs and params are the same
+    bit for bit, and the rows come back in subject order.  Only this
+    process writes markers.  Workers are spawned, so a script that calls
+    run_louo needs the usual `if __name__ == "__main__":` guard.
     """
     start_time = time.time()
     mode_spec = MODE_SPECS[cfg.mode]
@@ -344,8 +341,10 @@ def run_louo(recordings, cfg):
                 "confusion": row.confusion.tolist(),
             }))
 
-    mine, *others = _shares(todo, _usable_cpus()) or [[]]
-    share = (labels, subject_ids, schema, model_config, cfg.train)
+    cpus = usable_cpus()
+    mine, *others = _shares(todo, cpus) or [[]]
+    share = (labels, subject_ids, schema, model_config, cfg.train,
+             max(1, cpus // (1 + len(others))))
     workers = _start_workers(others, subjects, data, share)
     try:
         for i, row in zip(mine, _train_subjects([subjects[i] for i in mine], data, *share)):

@@ -7,14 +7,16 @@ trains only the voting network on the true labels.  Freezing works through
 detached parameters: phase 2 runs the backbone and fusion layer on detached
 copies of their tensors, so those stages build no graph and see neither
 updates nor gradient accumulation.  Prediction runs every stage on detached
-parameters and builds no graph at all.  A model without a voting net (the
-single-view baselines) trains phase 1 only; with one view covering every
-channel that is plain cross-entropy training.
+parameters and builds no graph at all; a large batch is split across
+CPUs in threads.  A model without a voting net (the single-view
+baselines) trains phase 1 only; with one view covering every channel that
+is plain cross-entropy training.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +36,22 @@ from .model import (
 from .views import gen_shuffle_matrix, shuffle_batch
 
 EVAL_BATCH = 256  # windows per predict_batch call in evaluate; bounds its memory
+# Rows x lstm_hidden that each of predict_batch's blocks must hold before the
+# batch is split across threads.  On a 2-vCPU VM with one BLAS thread, two
+# blocks took this share of one block's time: 1.5-1.7 at 2880 per block
+# (criterion 7's widths, batch 180), 0.84-0.99 at 8192 and 0.62-0.79 at
+# 16384 (the paper's widths, batch 256).  With less work per block the GIL
+# handoffs cost about what the second CPU gains, or more.
+THREAD_MIN_WORK = 1 << 14
+
+
+def usable_cpus():
+    """CPUs this process may run on: the size of its affinity mask, or the
+    machine's CPU count where the platform has no such mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -125,11 +143,38 @@ def train_phase2(data, labels, params, config, opt):
     return float(loss.data), correct
 
 
-def predict_batch(data, params, config):
+def predict_batch(data, params, config, cpus=None):
     """Final class index per sample (argmax of the config's head; ties ->
-    lowest) plus the grouped logits."""
-    logits, grouped = full_forward(data, _detached(params), config)
-    return np.argmax(logits.data, axis=1), grouped.data
+    lowest) plus the grouped logits.
+
+    The rows are split into blocks of near-equal size, one per CPU of
+    `cpus` (default: usable_cpus()), as long as each block holds at least
+    THREAD_MIN_WORK rows x lstm_hidden.  The calling thread runs the first
+    block and a pool of threads, shut down before this returns, runs the
+    rest.  NumPy releases the GIL in its matmuls and ufuncs, and no op of
+    the forward pass mixes rows, so the result equals one forward pass over
+    the whole batch bit for bit as long as the BLAS rounds a row the same
+    whatever the number of rows; tests/test_trainer.py::TestThreadedPredict
+    checks that on the platform it runs on.  An exception in any block is
+    raised here once every block has ended."""
+    frozen = _detached(params)
+    rows = len(data)
+    cpus = usable_cpus() if cpus is None else cpus
+    blocks = max(1, min(cpus, rows // math.ceil(THREAD_MIN_WORK / config.lstm_hidden)))
+    bounds = [rows * i // blocks for i in range(blocks + 1)]
+    first, *rest = [data[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    if not rest:
+        logits, grouped = full_forward(first, frozen, config)
+        return np.argmax(logits.data, axis=1), grouped.data
+    # Imported here: its modules, logging among them, cost about 0.6 MB and
+    # 7 ms in every process that imports flowhar, LOUO workers included.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(len(rest)) as pool:
+        futures = [pool.submit(full_forward, part, frozen, config) for part in rest]
+        outs = [full_forward(first, frozen, config)] + [f.result() for f in futures]
+    logits = np.concatenate([out[0].data for out in outs])
+    return np.argmax(logits, axis=1), np.concatenate([out[1].data for out in outs])
 
 
 def _iter_batches(n, batch_size, rng):
@@ -138,14 +183,14 @@ def _iter_batches(n, batch_size, rng):
         yield order[start:start + batch_size]
 
 
-def evaluate(data, labels, params, config):
+def evaluate(data, labels, params, config, cpus=None):
     """Overall accuracy, per-view group accuracies and the k x k confusion
-    matrix of the overall predictions."""
+    matrix of the overall predictions.  `cpus` is passed to predict_batch."""
     preds = []
     view_correct = np.zeros(config.n)
     for start in range(0, len(labels), EVAL_BATCH):
         sl = slice(start, start + EVAL_BATCH)
-        batch_preds, grouped = predict_batch(data[sl], params, config)
+        batch_preds, grouped = predict_batch(data[sl], params, config, cpus)
         preds.append(batch_preds)
         group_preds = grouped.argmax(axis=2)
         view_correct += (group_preds == labels[sl][:, None]).sum(axis=0)
@@ -153,11 +198,12 @@ def evaluate(data, labels, params, config):
     return accuracy(cm), (view_correct / len(labels)).tolist(), cm
 
 
-def fit(data, labels, schema, params, model_config, train_config, test=None):
+def fit(data, labels, schema, params, model_config, train_config, test=None, cpus=None):
     """Full training loop over (b, t, c) windows and their labels: for every
     batch, phase 1 then (when the model has a voting net) phase 2.  `test`
-    is an optional (data, labels) pair scored after every epoch; the
-    training set is scored only by the steps themselves (see EpochRecord).
+    is an optional (data, labels) pair scored after every epoch, by
+    evaluate on `cpus`; the training set is scored only by the steps
+    themselves (see EpochRecord).
 
     Deterministic for a fixed (data, configs, seed).  Incomplete final
     batches are kept; their shuffle matrix simply has fewer rows.  Trains
@@ -201,6 +247,6 @@ def fit(data, labels, schema, params, model_config, train_config, test=None):
         )
         if test is not None:
             (record.test_accuracy, record.test_view_accuracy,
-             record.test_confusion) = evaluate(test[0], test[1], params, model_config)
+             record.test_confusion) = evaluate(test[0], test[1], params, model_config, cpus)
         log.records.append(record)
     return log

@@ -362,6 +362,13 @@ class TestBadInput:
         assert main([*argv, "--stride", "0"]) == 1
         assert "config error: stride must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["louo", "train", "eval"])
+    def test_negative_max_gap_exits_1(self, corpus, tmp_path, capsys, command):
+        spec, files = corpus
+        argv = self._argv(command, spec, files, self._checkpoint(tmp_path))
+        assert main([*argv, "--max-gap", "-1"]) == 1
+        assert "config error: max-gap must be >= 0" in capsys.readouterr().err
+
     def test_train_without_target_exits_1_before_reading_data(self, corpus, tmp_path, capsys):
         spec, files = corpus
         argv = self._argv("train", spec, [*files, str(tmp_path / "nope")])

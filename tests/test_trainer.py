@@ -1,5 +1,10 @@
 """Two-phase training loop tests: freeze semantics, determinism, toy runs."""
 
+import concurrent.futures
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -372,3 +377,99 @@ class TestEvaluate:
         assert views == views2 and len(views) == 1
         assert acc_head == views2[0]
         assert cm_vote.shape == cm_head.shape == (2, 2)
+
+
+# The paper's widths, 64/128/128, on short narrow windows: the widths decide
+# whether predict_batch splits a batch, and a short window keeps the test cheap.
+PAPER = dict(conv_filters=64, lstm_hidden=128, voting_hidden=128)
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def pool_sizes(monkeypatch):
+    """Record the worker count of every thread pool predict_batch starts."""
+    sizes = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def spy(workers):
+        sizes.append(workers)
+        return real(workers)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+    return sizes
+
+
+def paper_setup(b, t=24, c=9, k=5, n=3, seed=0):
+    cfg = ModelConfig(t=t, c=c, k=k, n=n, **PAPER)
+    params = init_params(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    return cfg, params, rng.normal(size=(b, t, c)).astype(np.float32), rng.integers(0, k, b)
+
+
+class TestThreadedPredict:
+    @pytest.mark.parametrize("b, cpus, blocks", [
+        (256, 2, 2), (257, 2, 2), (1000, 2, 2),
+        (1000, 3, 3),  # 333, 333 and 334 rows, more threads than this host may have
+        (300, 3, 2),  # 150 rows each: a third block would hold less than THREAD_MIN_WORK
+    ])
+    def test_equals_one_forward_over_the_batch(self, monkeypatch, b, cpus, blocks):
+        cfg, params, data, _ = paper_setup(b)
+        usable_cpus(monkeypatch, cpus)
+        sizes = pool_sizes(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the GIL over often, so the blocks interleave
+        try:
+            preds, grouped = predict_batch(data, params, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sizes == [blocks - 1]
+        logits, want = full_forward(data, params, cfg)
+        assert np.array_equal(preds, np.argmax(logits.data, axis=1))
+        assert np.array_equal(grouped, want.data)
+
+    def test_criterion_7_batch_starts_no_pool(self, monkeypatch):
+        cfg = ModelConfig(t=64, c=18, k=4, n=6, conv_filters=16, lstm_hidden=32,
+                          voting_hidden=32)
+        data = np.random.default_rng(0).normal(size=(180, cfg.t, cfg.c)).astype(np.float32)
+        usable_cpus(monkeypatch, 2)
+        sizes = pool_sizes(monkeypatch)
+        preds, _ = predict_batch(data, init_params(cfg, seed=0), cfg)
+        assert sizes == [] and preds.shape == (180,)
+
+    @pytest.mark.parametrize("mask, cpus, pools", [(2, 1, []), (1, 2, [1]), (1, None, [])])
+    def test_cpus_argument_replaces_the_affinity_mask(self, monkeypatch, mask, cpus, pools):
+        cfg, params, data, _ = paper_setup(256)
+        usable_cpus(monkeypatch, mask)
+        sizes = pool_sizes(monkeypatch)
+        preds, grouped = predict_batch(data, params, cfg, cpus)
+        assert sizes == pools
+        logits, want = full_forward(data, params, cfg)
+        assert np.array_equal(preds, np.argmax(logits.data, axis=1))
+        assert np.array_equal(grouped, want.data)
+
+    def test_evaluate_same_with_one_and_two_cpus(self, monkeypatch):
+        cfg, params, data, labels = paper_setup(600)  # batches of 256, 256 and 88
+        results = []
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            sizes = pool_sizes(monkeypatch)
+            results.append(evaluate(data, labels, params, cfg))
+            assert sizes == ([] if cpus == 1 else [1, 1])
+        (acc1, views1, cm1), (acc2, views2, cm2) = results
+        assert acc1 == acc2 and views1 == views2 and np.array_equal(cm1, cm2)
+
+    def test_error_in_a_pool_block_propagates_and_no_thread_is_left(self, monkeypatch):
+        cfg, params, data, _ = paper_setup(256)
+        usable_cpus(monkeypatch, 2)
+        caller = threading.get_ident()
+
+        def forward(x, p, c):
+            if threading.get_ident() != caller:
+                raise InvalidInputError("second block failed")
+            return full_forward(x, p, c)
+        monkeypatch.setattr(trainer, "full_forward", forward)
+        before = threading.active_count()
+        with pytest.raises(InvalidInputError, match="second block failed"):
+            predict_batch(data, params, cfg)
+        assert threading.active_count() == before
