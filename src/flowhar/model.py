@@ -149,17 +149,22 @@ def voting_forward(grouped, params, config):
     return x @ params["voting.fc2.w"] + params["voting.fc2.b"]
 
 
-def full_forward(x, params, config):
-    """(b, t, c) input -> ((b, k) final logits, (b, n, k) grouped logits).
+def heads_forward(features, params, config):
+    """(b, h) features -> ((b, k) final logits, (b, n, k) grouped logits).
 
     The final logits come from the voting net, or are logit group 0 when the
     config has no voting net.
     """
-    feats = backbone_forward(x, params, config)
-    grouped = mvf_forward(feats, params, config)
+    grouped = mvf_forward(features, params, config)
     if not config.voting:
         return grouped[:, 0, :], grouped
     return voting_forward(grouped, params, config), grouped
+
+
+def full_forward(x, params, config):
+    """(b, t, c) input -> ((b, k) final logits, (b, n, k) grouped logits):
+    backbone_forward, then heads_forward."""
+    return heads_forward(backbone_forward(x, params, config), params, config)
 
 
 class Adam:

@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import softmax_cross_entropy
+from .autodiff import Tensor, softmax_cross_entropy
 from .errors import ConfigError, InvalidInputError
 from .metrics import accuracy, confusion
 from .model import (
     Adam,
     backbone_forward,
     full_forward,
+    heads_forward,
     mvf_forward,
     params_by_prefix,
     set_normalization,
@@ -147,16 +148,19 @@ def predict_batch(data, params, config, cpus=None):
     """Final class index per sample (argmax of the config's head; ties ->
     lowest) plus the grouped logits.
 
-    The rows are split into blocks of near-equal size, one per CPU of
-    `cpus` (default: usable_cpus()), as long as each block holds at least
-    THREAD_MIN_WORK rows x lstm_hidden.  The calling thread runs the first
-    block and a pool of threads, shut down before this returns, runs the
-    rest.  NumPy releases the GIL in its matmuls and ufuncs, and no op of
-    the forward pass mixes rows, so the result equals one forward pass over
-    the whole batch bit for bit as long as the BLAS rounds a row the same
-    whatever the number of rows; tests/test_trainer.py::TestThreadedPredict
-    checks that on the platform it runs on.  An exception in any block is
-    raised here once every block has ended."""
+    The backbone's rows are split into blocks of near-equal size, one per
+    CPU of `cpus` (default: usable_cpus()), as long as each block holds at
+    least THREAD_MIN_WORK rows x lstm_hidden.  The calling thread runs the
+    first block and a pool of threads, shut down before this returns, runs
+    the rest; the heads then run once on the whole batch's features.
+    NumPy releases the GIL in its matmuls and ufuncs, and no op of the
+    backbone mixes rows, so the result equals one forward pass over the
+    whole batch bit for bit as long as the BLAS rounds a row of the
+    backbone's products the same whatever the number of rows.  It does not
+    always for the heads' products (see TestThreadedPredict's 18-class
+    case), which is why they are not split.  tests/test_trainer.py::
+    TestThreadedPredict checks the whole on the platform it runs on.  An
+    exception in any block is raised here once every block has ended."""
     frozen = _detached(params)
     rows = len(data)
     cpus = usable_cpus() if cpus is None else cpus
@@ -171,10 +175,11 @@ def predict_batch(data, params, config, cpus=None):
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(len(rest)) as pool:
-        futures = [pool.submit(full_forward, part, frozen, config) for part in rest]
-        outs = [full_forward(first, frozen, config)] + [f.result() for f in futures]
-    logits = np.concatenate([out[0].data for out in outs])
-    return np.argmax(logits, axis=1), np.concatenate([out[1].data for out in outs])
+        futures = [pool.submit(backbone_forward, part, frozen, config) for part in rest]
+        feats = [backbone_forward(first, frozen, config)] + [f.result() for f in futures]
+    logits, grouped = heads_forward(Tensor(np.concatenate([f.data for f in feats])), frozen,
+                                    config)
+    return np.argmax(logits.data, axis=1), grouped.data
 
 
 def _iter_batches(n, batch_size, rng):

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from flowhar import model, trainer
+from flowhar import autodiff, model, trainer
 from flowhar.autodiff import Tensor, conv1d, lstm
 from flowhar.model import Adam, ModelConfig, init_params, params_by_prefix
 from flowhar.trainer import train_phase1, train_phase2
@@ -147,6 +147,54 @@ class TestFusedEqualsSteps:
         out = lstm(x, wx, wh, b)
         assert out._parents == () and out._backward is None
         assert out.shape == (2, 5, 2)
+
+
+class TestNoGraphEqualsSteps:
+    """Without a gradient to record, lstm runs _lstm_no_graph, whose calls
+    differ from the per-step graph's but whose per-element arithmetic must
+    not: its output equals the oracle's bit for bit."""
+
+    @staticmethod
+    def _check(x0, weights, hidden):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = Tensor(x0)
+            xs = [Tensor(x0[:, step, :]) for step in range(x0.shape[1])]
+            for wx, wh, b in weights:
+                wx, wh, b = wx.detach(), wh.detach(), b.detach()
+                out = lstm(out, wx, wh, b)
+                xs = lstm_layer_steps(xs, wx, wh, b, hidden)
+        assert out._parents == () and out.dtype == x0.dtype
+        assert np.array_equal(out.data, np.stack([h.data for h in xs], axis=1))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("batch, steps, in_dim, hidden", [
+        (5, 7, 3, 4),
+        (64, 48, 16, 32),  # criterion 7's shapes
+        (128, 60, 64, 128),  # the paper's widths, one block of a 256 batch
+        (9, 5, 6, 37),  # gate widths that are no multiple of a SIMD register
+    ])
+    def test_bit_identical(self, dtype, batch, steps, in_dim, hidden):
+        rng = np.random.default_rng(batch + hidden)
+        x0 = rng.normal(size=(batch, steps, in_dim)).astype(dtype)
+        self._check(x0, _layer_weights(rng, 2, in_dim, hidden, dtype), hidden)
+
+    def test_saturated_gates(self):
+        rng = np.random.default_rng(8)
+        x0 = (200.0 * rng.normal(size=(8, 6, 16))).astype("float32")
+        self._check(x0, _layer_weights(rng, 2, 16, 8, "float32"), 8)
+
+    def test_mixed_dtypes_take_the_general_loop(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("_lstm_no_graph called")
+
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(3, 4, 2)).astype("float32"))
+        wx, wh, b = (Tensor(rng.normal(size=s)) for s in ((2, 8), (2, 8), (8,)))
+        want = lstm(Tensor(x.data.astype("float64")), wx, wh, b).data
+        monkeypatch.setattr(autodiff, "_lstm_no_graph", fail)
+        got = lstm(x, wx, wh, b)
+        assert got.dtype == np.float64 and np.array_equal(got.data, want)
 
 
 TINY = dict(conv_layers=2, conv_filters=3, conv_kernel=3, lstm_layers=2,

@@ -12,7 +12,8 @@ from flowhar.autodiff import Tensor, softmax_cross_entropy
 from flowhar.dataset import Window
 from flowhar.errors import ConfigError, InvalidInputError
 from flowhar import trainer
-from flowhar.model import Adam, ModelConfig, full_forward, init_params, params_by_prefix
+from flowhar.model import (Adam, ModelConfig, backbone_forward, full_forward, init_params,
+                           params_by_prefix)
 from flowhar.trainer import (
     TrainConfig,
     evaluate,
@@ -428,6 +429,20 @@ class TestThreadedPredict:
         assert np.array_equal(preds, np.argmax(logits.data, axis=1))
         assert np.array_equal(grouped, want.data)
 
+    @pytest.mark.parametrize("t, c", [(24, 9), (64, 110)])
+    def test_equals_one_forward_with_18_classes(self, monkeypatch, t, c):
+        # OPPORTUNITY's 18 classes in 3 views: the fusion layer's product is
+        # (rows, 128) @ (128, 54), which OpenBLAS 0.3.31 rounds differently
+        # at 128 rows than at 256, so it must see the whole batch at once.
+        cfg, params, data, _ = paper_setup(256, t=t, c=c, k=18)
+        usable_cpus(monkeypatch, 2)
+        sizes = pool_sizes(monkeypatch)
+        preds, grouped = predict_batch(data, params, cfg)
+        assert sizes == [1]
+        logits, want = full_forward(data, params, cfg)
+        assert np.array_equal(preds, np.argmax(logits.data, axis=1))
+        assert np.array_equal(grouped, want.data)
+
     def test_criterion_7_batch_starts_no_pool(self, monkeypatch):
         cfg = ModelConfig(t=64, c=18, k=4, n=6, conv_filters=16, lstm_hidden=32,
                           voting_hidden=32)
@@ -467,8 +482,8 @@ class TestThreadedPredict:
         def forward(x, p, c):
             if threading.get_ident() != caller:
                 raise InvalidInputError("second block failed")
-            return full_forward(x, p, c)
-        monkeypatch.setattr(trainer, "full_forward", forward)
+            return backbone_forward(x, p, c)
+        monkeypatch.setattr(trainer, "backbone_forward", forward)
         before = threading.active_count()
         with pytest.raises(InvalidInputError, match="second block failed"):
             predict_batch(data, params, cfg)
