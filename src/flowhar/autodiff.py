@@ -311,92 +311,70 @@ def conv1d(x, w, b):
     return out
 
 
-def _lstm_no_graph(xd, wxd, whd, bd):
-    """lstm's forward for inputs of one dtype when none needs a gradient.
-
-    Every element goes through the same operations in the same order as in
-    lstm's loop, so the output is the same bit for bit.  But each step makes
-    15 NumPy calls instead of 23 and allocates one array: one sigmoid runs
-    over all four gates' pre-activations (the cell gate's share is computed
-    and never read), and the states are updated in place.  Each call
-    releases the GIL, and a thread of predict_batch that comes back from one
-    while another thread holds the GIL sleeps until it is released.  At the
-    paper's widths on two CPUs this cut those sleeps from about 700 to about
-    250 per 256-window prediction, and with them the share of its time that
-    depends on how fast the host wakes a thread.
-    """
-    batch, steps, _ = xd.shape
-    hidden = whd.shape[0]
-    s1, s2, s3 = hidden, 2 * hidden, 3 * hidden
-    h = np.zeros((batch, hidden), dtype=xd.dtype)
-    c = np.zeros_like(h)
-    tc = np.empty_like(h)
-    z, hw, gates = (np.empty((batch, 4 * hidden), dtype=xd.dtype) for _ in range(3))
-    hs = np.empty((batch, steps, hidden), dtype=xd.dtype)
-    with np.errstate(over="ignore"):  # see _sigmoid on the overflow
-        for step in range(steps):
-            np.matmul(xd[:, step, :], wxd, out=z)
-            z += np.matmul(h, whd, out=hw)
-            z += bd
-            np.negative(z, out=gates)
-            np.exp(gates, out=gates)
-            gates += 1.0
-            np.divide(1.0, gates, out=gates)
-            g = np.tanh(z[:, s2:s3])
-            c *= gates[:, s1:s2]
-            g *= gates[:, 0:s1]
-            c += g
-            np.tanh(c, out=tc)
-            np.multiply(gates[:, s3:], tc, out=h)
-            hs[:, step, :] = h
-    return hs
-
-
 def lstm(x, wx, wh, b):
     """One 4-gate LSTM layer over a whole sequence, from zero initial states.
 
     x: (batch, t, in), wx: (in, 4 * hidden), wh: (hidden, 4 * hidden),
     b: (4 * hidden,), gate order input, forget, cell, output.
-    Output: the hidden state of every step, (batch, t, hidden).
+    Output: the hidden state of every step, (batch, t, hidden), in the
+    result dtype of the four inputs.
 
     Each step computes z = x_t @ wx + h @ wh + b, then the gates, c and h,
     with the same arithmetic in the same order as a graph of per-step
     elementwise ops, so values and gradients equal that graph's bit for bit.
-    The backward pass is backprop through time from the last step to the
-    first; wx, wh and b take one step's gradient at a time, in that order.
+    A step makes 15 NumPy calls: one sigmoid runs over all four gates'
+    pre-activations, the cell gate's share is then overwritten by its tanh,
+    and the states are updated in place.  Few calls matter because each
+    releases the GIL, and a thread of predict_batch that comes back from one
+    while another thread holds the GIL sleeps until it is released, for as
+    long as the host takes to wake it.
+
+    When an input needs a gradient, step k writes its gates, cell state and
+    tanh(c) into slot k of buffers that span the sequence; otherwise every
+    step reuses one slot.  The backward pass is backprop through time from
+    the last step to the first, reading those slots; wx, wh and b take one
+    step's gradient at a time, in that order.
     """
     xd, wxd, whd, bd = x.data, wx.data, wh.data, b.data
     record = any(_needs_graph(t) for t in (x, wx, wh, b))
-    if not record and xd.dtype == wxd.dtype == whd.dtype == bd.dtype:
-        return _node(_lstm_no_graph(xd, wxd, whd, bd), (x, wx, wh, b))
     batch, steps, _ = xd.shape
     hidden = whd.shape[0]
     s1, s2, s3 = hidden, 2 * hidden, 3 * hidden
-    h = np.zeros((batch, hidden), dtype=xd.dtype)
-    c = np.zeros_like(h)
-    hs = np.empty((batch, steps, hidden), dtype=np.result_type(xd, wxd, whd, bd))
-    cache = []
-    # The sigmoid gates are _sigmoid written out, under one errstate for the
-    # whole layer instead of one per call (see _sigmoid on the overflow).
-    with np.errstate(over="ignore"):
+    dtype = np.result_type(xd, wxd, whd, bd)
+    slots = steps if record else 1
+    # Allocated once per layer, so the steps make no blocks to fragment the
+    # heap.  gates[k] holds i, f, g and o as contiguous (batch, hidden)
+    # blocks: at criterion 7's widths, a layer's forward and backward took
+    # about 10% longer on row slices of one (batch, 4 * hidden) block.
+    # When recording, cs[k] is the cell state before step k and cs[k + 1]
+    # the one after it; otherwise both are cs[0].
+    gates = np.empty((slots, 4, batch, hidden), dtype=dtype)
+    cs = np.zeros((slots + 1 if record else 1, batch, hidden), dtype=dtype)
+    tcs = np.empty((slots, batch, hidden), dtype=dtype)
+    z, hw = (np.empty((batch, 4 * hidden), dtype=dtype) for _ in range(2))
+    z_by_gate = z.reshape(batch, 4, hidden).transpose(1, 0, 2)
+    h = np.zeros((batch, hidden), dtype=dtype)
+    ig = np.empty_like(h)
+    hs = np.empty((batch, steps, hidden), dtype=dtype)
+    with np.errstate(over="ignore"):  # see _sigmoid on the overflow
         for step in range(steps):
-            z = xd[:, step, :] @ wxd + h @ whd + bd
-            i = 1.0 / (1.0 + np.exp(-z[:, 0:s1]))
-            f = 1.0 / (1.0 + np.exp(-z[:, s1:s2]))
-            g = np.tanh(z[:, s2:s3])
-            o = 1.0 / (1.0 + np.exp(-z[:, s3:]))
-            h_prev, c_prev = h, c
-            c = f * c + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            if record:
-                # Separate (batch, hidden) gate arrays, not views into one
-                # sigmoid over the (batch, 4 * hidden) block: with views,
-                # inference at the paper's widths under a no-trim malloc
-                # peaked at 208-222 MB of RSS instead of 199 MB from heap
-                # fragmentation (tracemalloc's peak was unchanged).  One
-                # x @ wx matmul for all steps up front peaked at 251 MB.
-                cache.append((h_prev, c_prev, i, f, g, o, tc))
+            k = step if record else 0
+            gate, tc, c_prev = gates[k], tcs[k], cs[k]
+            c = cs[k + 1] if record else c_prev
+            i, f, g, o = gate
+            np.matmul(xd[:, step, :], wxd, out=z)
+            z += np.matmul(h, whd, out=hw)
+            z += bd
+            np.negative(z_by_gate, out=gate)
+            np.exp(gate, out=gate)
+            gate += 1.0
+            np.divide(1.0, gate, out=gate)
+            np.tanh(z_by_gate[2], out=g)
+            np.multiply(c_prev, f, out=c)
+            np.multiply(g, i, out=ig)
+            c += ig
+            np.tanh(c, out=tc)
+            np.multiply(o, tc, out=h)
             hs[:, step, :] = h
     out = _node(hs, (x, wx, wh, b))
     if out._parents:
@@ -404,7 +382,9 @@ def lstm(x, wx, wh, b):
             dx = np.empty_like(xd) if _needs_graph(x) else None
             dh_rec = dc_rec = None
             for step in range(steps - 1, -1, -1):
-                h_prev, c_prev, i, f, g, o, tc = cache[step]
+                i, f, g, o = gates[step]
+                c_prev, tc = cs[step], tcs[step]
+                h_prev = hs[:, step - 1, :] if step else np.zeros_like(h)
                 dh = gout[:, step, :]
                 if dh_rec is not None:
                     dh = dh + dh_rec

@@ -300,9 +300,11 @@ def run_louo(recordings, cfg):
     process writes markers.  Workers are spawned, so a script that calls
     run_louo needs the usual `if __name__ == "__main__":` guard.
     """
+    if not recordings:
+        raise InvalidInputError("no recordings")
     start_time = time.time()
     mode_spec = MODE_SPECS[cfg.mode]
-    layout = mode_spec.layout(len(next(iter(recordings)).sensors))
+    layout = mode_spec.layout(len(recordings[0].sensors))
     schema = mode_spec.schema(cfg.granularity, layout)
     model_config = ModelConfig(
         t=cfg.win_len,

@@ -17,7 +17,7 @@ import pytest
 
 from flowhar import harness, trainer
 from flowhar.dataset import Window
-from flowhar.errors import ConfigError
+from flowhar.errors import ConfigError, InvalidInputError
 from flowhar.harness import (
     MODE_SPECS,
     MODES,
@@ -181,6 +181,10 @@ class TestRunLouo:
         calls.clear()
         _, _, log = TestRunBaseline()._fit(TestRunBaseline()._windows(), epochs=2, lr=1e-3)
         assert calls == [] and len(log.records) == 2
+
+    def test_no_recordings_is_invalid_input(self):
+        with pytest.raises(InvalidInputError, match="no recordings"):
+            run_louo([], tiny_config())
 
     def test_failed_subject_isolated(self):
         recs = tiny_population()

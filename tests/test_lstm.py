@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from flowhar import autodiff, model, trainer
+from flowhar import model, trainer
 from flowhar.autodiff import Tensor, conv1d, lstm
 from flowhar.model import Adam, ModelConfig, init_params, params_by_prefix
 from flowhar.trainer import train_phase1, train_phase2
@@ -107,10 +107,15 @@ def assert_fused_equals_steps(x0, weights, probe):
 class TestFusedEqualsSteps:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("layers", [1, 2])
-    @pytest.mark.parametrize("batch", [1, 5])
-    def test_values_and_gradients_bit_identical(self, dtype, layers, batch):
+    @pytest.mark.parametrize("batch, steps, in_dim, hidden", [
+        (1, 7, 3, 4),
+        (5, 7, 3, 4),
+        (64, 60, 64, 128),  # the paper's training widths
+        (9, 5, 6, 37),  # gate widths that are no multiple of a SIMD register
+    ], ids=["1", "5", "64", "9"])
+    def test_values_and_gradients_bit_identical(self, dtype, layers, batch, steps,
+                                                in_dim, hidden):
         rng = np.random.default_rng(layers * 10 + batch)
-        steps, in_dim, hidden = 7, 3, 4
         x0 = rng.normal(size=(batch, steps, in_dim)).astype(dtype)
         weights = _layer_weights(rng, layers, in_dim, hidden, dtype)
         # a gradient on every step's output, so BPTT carries the full sum
@@ -150,9 +155,9 @@ class TestFusedEqualsSteps:
 
 
 class TestNoGraphEqualsSteps:
-    """Without a gradient to record, lstm runs _lstm_no_graph, whose calls
-    differ from the per-step graph's but whose per-element arithmetic must
-    not: its output equals the oracle's bit for bit."""
+    """Without a gradient to record, lstm reuses one step's buffers and
+    updates them in place; its output still equals the oracle's bit for
+    bit."""
 
     @staticmethod
     def _check(x0, weights, hidden):
@@ -184,15 +189,11 @@ class TestNoGraphEqualsSteps:
         x0 = (200.0 * rng.normal(size=(8, 6, 16))).astype("float32")
         self._check(x0, _layer_weights(rng, 2, 16, 8, "float32"), 8)
 
-    def test_mixed_dtypes_take_the_general_loop(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("_lstm_no_graph called")
-
+    def test_float32_x_with_float64_weights_equals_upcast_x(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(3, 4, 2)).astype("float32"))
         wx, wh, b = (Tensor(rng.normal(size=s)) for s in ((2, 8), (2, 8), (8,)))
         want = lstm(Tensor(x.data.astype("float64")), wx, wh, b).data
-        monkeypatch.setattr(autodiff, "_lstm_no_graph", fail)
         got = lstm(x, wx, wh, b)
         assert got.dtype == np.float64 and np.array_equal(got.data, want)
 
