@@ -182,7 +182,7 @@ def cmd_train(args):
     report = run_louo(recordings, cfg)
     row = report.rows[0]
     if row.error:
-        raise FlowError(row.error)
+        raise DataError(row.error)  # no windows for the target, or none to train on
     print(f"target {row.subject}: accuracy={row.accuracy:.4f} f1={row.weighted_f1:.4f}")
     if args.checkpoint:
         save_checkpoint(args.checkpoint, report.model_config, row.params,

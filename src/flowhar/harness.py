@@ -161,12 +161,10 @@ def _saved_result(marker, subject, key):
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def _train_subjects(subjects, data, labels, subject_ids, schema, model_config, train_config,
-                    cpus):
+def _train_subjects(subjects, data, labels, subject_ids, schema, model_config, train_config):
     """Hold out each subject in turn and yield its SubjectResult: trained on
-    every other subject's windows and scored on its own, on `cpus` CPUs.  A
-    FlowError in one subject gives an error row and the next subject is
-    trained."""
+    every other subject's windows and scored on its own.  A FlowError in one
+    subject gives an error row and the next subject is trained."""
     for subject in subjects:
         test = subject_ids == str(subject)
         try:
@@ -174,7 +172,7 @@ def _train_subjects(subjects, data, labels, subject_ids, schema, model_config, t
                 raise InvalidInputError(f"no windows for target subject {str(subject)!r}")
             params = init_params(model_config, train_config.seed)
             log = fit(data[~test], labels[~test], schema, params, model_config, train_config,
-                      test=(data[test], labels[test]), cpus=cpus)
+                      test=(data[test], labels[test]))
         except FlowError as exc:
             yield SubjectResult(subject, error=str(exc))
             continue
@@ -292,13 +290,11 @@ def run_louo(recordings, cfg):
     one spawned process trains each other share.  With n subjects on c
     CPUs, the round-robin shares of n // c run beside one process for each
     of the n % c left over: at most 2c - 1 processes in all, and with one
-    CPU no worker.  Each process scores its subjects on c // (processes)
-    CPUs, at least one, so only a sweep with fewer processes than CPUs
-    splits a prediction batch across threads (predict_batch).  Each worker
-    holds its own copy of the windows.  Rows, logs and params are the same
-    bit for bit, and the rows come back in subject order.  Only this
-    process writes markers.  Workers are spawned, so a script that calls
-    run_louo needs the usual `if __name__ == "__main__":` guard.
+    CPU no worker.  Each worker holds its own copy of the windows.  Rows,
+    logs and params are the same bit for bit, and the rows come back in
+    subject order.  Only this process writes markers.  Workers are spawned,
+    so a script that calls run_louo needs the usual
+    `if __name__ == "__main__":` guard.
     """
     if not recordings:
         raise InvalidInputError("no recordings")
@@ -343,10 +339,8 @@ def run_louo(recordings, cfg):
                 "confusion": row.confusion.tolist(),
             }))
 
-    cpus = usable_cpus()
-    mine, *others = _shares(todo, cpus) or [[]]
-    share = (labels, subject_ids, schema, model_config, cfg.train,
-             max(1, cpus // (1 + len(others))))
+    mine, *others = _shares(todo, usable_cpus()) or [[]]
+    share = (labels, subject_ids, schema, model_config, cfg.train)
     workers = _start_workers(others, subjects, data, share)
     try:
         for i, row in zip(mine, _train_subjects([subjects[i] for i in mine], data, *share)):

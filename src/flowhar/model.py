@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, conv1d, lstm, softmax, softmax_cross_entropy
+from .autodiff import Tensor, conv1d, lstm, softmax
 from .errors import ConfigError, DataError, InvalidInputError
 
 NORM_EPS = 1e-6  # added to each channel's std so a constant channel divides by > 0
@@ -234,17 +234,3 @@ def load_checkpoint(path):
         raise DataError(f"{path} is not a flowhar checkpoint: its parameters do not fit its config")
     return config, params, seed, mode
 
-
-__all__ = [
-    "Adam",
-    "ModelConfig",
-    "backbone_forward",
-    "full_forward",
-    "init_params",
-    "load_checkpoint",
-    "mvf_forward",
-    "params_by_prefix",
-    "save_checkpoint",
-    "softmax_cross_entropy",
-    "voting_forward",
-]

@@ -188,14 +188,14 @@ def _iter_batches(n, batch_size, rng):
         yield order[start:start + batch_size]
 
 
-def evaluate(data, labels, params, config, cpus=None):
+def evaluate(data, labels, params, config):
     """Overall accuracy, per-view group accuracies and the k x k confusion
-    matrix of the overall predictions.  `cpus` is passed to predict_batch."""
+    matrix of the overall predictions."""
     preds = []
     view_correct = np.zeros(config.n)
     for start in range(0, len(labels), EVAL_BATCH):
         sl = slice(start, start + EVAL_BATCH)
-        batch_preds, grouped = predict_batch(data[sl], params, config, cpus)
+        batch_preds, grouped = predict_batch(data[sl], params, config)
         preds.append(batch_preds)
         group_preds = grouped.argmax(axis=2)
         view_correct += (group_preds == labels[sl][:, None]).sum(axis=0)
@@ -203,12 +203,12 @@ def evaluate(data, labels, params, config, cpus=None):
     return accuracy(cm), (view_correct / len(labels)).tolist(), cm
 
 
-def fit(data, labels, schema, params, model_config, train_config, test=None, cpus=None):
+def fit(data, labels, schema, params, model_config, train_config, test=None):
     """Full training loop over (b, t, c) windows and their labels: for every
     batch, phase 1 then (when the model has a voting net) phase 2.  `test`
-    is an optional (data, labels) pair scored after every epoch, by
-    evaluate on `cpus`; the training set is scored only by the steps
-    themselves (see EpochRecord).
+    is an optional (data, labels) pair scored after every epoch by
+    evaluate; the training set is scored only by the steps themselves (see
+    EpochRecord).
 
     Deterministic for a fixed (data, configs, seed).  Incomplete final
     batches are kept; their shuffle matrix simply has fewer rows.  Trains
@@ -252,6 +252,6 @@ def fit(data, labels, schema, params, model_config, train_config, test=None, cpu
         )
         if test is not None:
             (record.test_accuracy, record.test_view_accuracy,
-             record.test_confusion) = evaluate(test[0], test[1], params, model_config, cpus)
+             record.test_confusion) = evaluate(test[0], test[1], params, model_config)
         log.records.append(record)
     return log

@@ -125,13 +125,11 @@ def shuffle_batch(data, labels, schema, r):
     b = data.shape[0]
     if r.shape != (b, schema.n):
         raise InvalidInputError(f"shuffle matrix shape {r.shape} != ({b}, {schema.n})")
-    for j in range(schema.n):
-        if not np.array_equal(np.sort(r[:, j]), np.arange(b)):
-            raise InvalidInputError(f"column {j} of the shuffle matrix is not a permutation")
+    bad = np.flatnonzero((np.sort(r, axis=0) != np.arange(b)[:, None]).any(axis=0))
+    if bad.size:
+        raise InvalidInputError(f"column {bad[0]} of the shuffle matrix is not a permutation")
     shuffled = data.copy()
-    view_labels = np.empty((b, schema.n), dtype=labels.dtype)
     for j, channels in enumerate(schema.views):
         ch = list(channels)
-        shuffled[:, :, ch] = data[r[:, j]][:, :, ch]
-        view_labels[:, j] = labels[r[:, j]]
-    return shuffled, view_labels
+        shuffled[:, :, ch] = data[:, :, ch][r[:, j]]
+    return shuffled, labels[r]

@@ -400,6 +400,20 @@ class TestBadInput:
         assert ("data error: no windows for target subject '9'"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("target, subjects, message", [
+        ("9", 2, "no windows for target subject '9'"),
+        ("0", 1, "empty training set"),  # no other subject to train on
+    ], ids=["target", "training_set"])
+    def test_train_of_a_target_without_windows_exits_2(self, corpus, tmp_path, capsys,
+                                                       target, subjects, message):
+        spec, files = corpus
+        argv = self._argv("train", spec, files[:2 * subjects])  # two files per subject
+        argv[argv.index("--target") + 1] = target
+        ckpt = tmp_path / "model.npz"
+        assert main([*argv, "--checkpoint", str(ckpt)]) == 2
+        assert f"data error: {message}" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_louo_with_a_repeated_target_exits_1(self, corpus, tmp_path, capsys):
         spec, files = corpus
         argv = self._argv("louo", spec, files)

@@ -642,8 +642,7 @@ class TestLouoSplit:
     def _run(self, monkeypatch, target_subjects=()):
         fits = []
 
-        def fake_fit(data, labels, schema, params, model_config, train_config, test=None,
-                     cpus=None):
+        def fake_fit(data, labels, schema, params, model_config, train_config, test=None):
             fits.append((data, labels, test))
             cm = np.eye(2, dtype=np.int64)
             return TrainLog([EpochRecord(0, 0.0, 0.0, 1.0, test_confusion=cm)])

@@ -30,7 +30,7 @@ from flowhar.harness import (
 from flowhar.model import ModelConfig, init_params
 from flowhar.synth import SynthSpec, synth_population
 from flowhar.trainer import TrainConfig, evaluate, fit, stack_windows
-from flowhar.views import ViewSchema
+from flowhar.views import GRANULARITIES, ViewSchema
 
 TINY_MODEL = dict(conv_filters=2, lstm_hidden=4, voting_hidden=4)
 
@@ -167,9 +167,9 @@ class TestRunLouo:
         real = trainer.evaluate
         calls = []
 
-        def counting(data, labels, params, config, cpus=None):
+        def counting(data, labels, params, config):
             calls.append(len(labels))
-            return real(data, labels, params, config, cpus)
+            return real(data, labels, params, config)
 
         monkeypatch.setattr(trainer, "evaluate", counting)
         usable_cpus(monkeypatch, 1)  # a worker's evaluate calls are not seen here
@@ -196,11 +196,12 @@ class TestRunLouo:
         # the average ignores the failed row
         assert report.average_accuracy == by_subject["u0"].accuracy
 
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("granularity", ("just_local", "small", "medium", "large"))
-    def test_mode_granularity_coverage(self, mode, granularity):
-        if mode != "flow" and granularity != "medium":
-            pytest.skip("granularity only affects flow mode")
+    # Granularity only affects flow mode; the other modes run at the default.
+    @pytest.mark.parametrize("granularity, mode", [
+        *((granularity, "flow") for granularity in GRANULARITIES),
+        *(("medium", mode) for mode in MODES if mode != "flow"),
+    ])
+    def test_mode_granularity_coverage(self, granularity, mode):
         recs = tiny_population()
         cfg = tiny_config(mode=mode, granularity=granularity,
                           target_subjects=("u0",))
@@ -339,11 +340,11 @@ def _fit_spy(monkeypatch, before=None):
     first; return the list of held-out label counts it was called with."""
     calls = []
 
-    def spy(data, labels, *args, test=None, cpus=None):
+    def spy(data, labels, *args, test=None):
         calls.append(len(test[1]))
         if before is not None:
             before()
-        return fit(data, labels, *args, test=test, cpus=cpus)
+        return fit(data, labels, *args, test=test)
 
     monkeypatch.setattr(harness, "fit", spy)
     return calls
@@ -463,29 +464,6 @@ class TestParallelLouo:
         report, fits = self._run(monkeypatch, 2, tmp_path / "sweep", resume=True)
         # One subject to train: w = 1, so no worker, and the rest read back.
         assert len(fits) == 1 and [r.log is None for r in report.rows] == [True, False, True]
-
-    @pytest.mark.parametrize("cpus, targets, expected", [
-        (2, (), 1),  # three processes on two CPUs
-        (4, (), 1),  # three on four
-        (6, (), 2),  # three on six
-        (2, ("u1",), 2),  # one subject: this process alone
-        (1, (), 1),
-    ])
-    def test_processes_split_the_cpus_for_prediction(self, tmp_path, monkeypatch, cpus,
-                                                     targets, expected):
-        monkeypatch.setattr(harness, "_worker", _env_worker)
-        usable_cpus(monkeypatch, cpus)
-        seen = []
-
-        def spy(*args, cpus=None, **kwargs):
-            seen.append(cpus)
-            return fit(*args, cpus=cpus, **kwargs)
-
-        monkeypatch.setattr(harness, "fit", spy)
-        with time_limit(120):
-            run_louo(tiny_population(3), tiny_config(mode="flow", target_subjects=targets,
-                                                    output_dir=str(tmp_path)))
-        assert seen and set(seen) == {expected}
 
     def test_error_row_from_worker(self, tmp_path, monkeypatch):
         # The worker sends its row and exits while u0 trains here: its pipe

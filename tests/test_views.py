@@ -162,6 +162,46 @@ class TestShuffleBatch:
         with pytest.raises(InvalidInputError):
             shuffle_batch(data, labels, schema, r)
 
+    @pytest.mark.parametrize("column, bad", [
+        ([0, 0, 1, 2], 1),  # a repeat
+        ([0, 1, 2, 4], 1),  # out of range
+        ([3, 2, 1, -1], 2),  # negative
+    ])
+    def test_first_bad_column_is_named(self, column, bad):
+        data, labels, schema = _batch(b=4, t=2, channels_per_view=1, n=4)
+        r = np.tile(np.arange(4)[:, None], (1, 4))
+        r[:, bad] = column
+        r[:, 3] = [1, 1, 1, 1]  # a later bad column is not the one reported
+        with pytest.raises(InvalidInputError,
+                           match=rf"^column {bad} of the shuffle matrix is not a permutation$"):
+            shuffle_batch(data, labels, schema, r)
+
+    @pytest.mark.parametrize("granularity", ["just_local", "small", "medium", "large"])
+    def test_equals_per_sample_per_channel_loop(self, granularity):
+        # just_local on a concat layout leaves every global channel outside
+        # the views.  The views, and the channels within each, are shuffled
+        # so that nothing relies on them being sorted.
+        rng = np.random.default_rng(5)
+        layout = ChannelLayout(num_sensors=2)
+        views = [tuple(rng.permutation(view).tolist())
+                 for view in build_schema(granularity, layout).views]
+        schema = ViewSchema(granularity, tuple(views[k] for k in rng.permutation(len(views))))
+        b, t = 7, 3
+        data = rng.normal(size=(b, t, layout.num_channels)).astype(np.float32)
+        labels = rng.integers(0, 5, size=b)
+        r = gen_shuffle_matrix(b, schema.n, rng)
+        expected = data.copy()
+        expected_labels = np.empty((b, schema.n), dtype=labels.dtype)
+        for i in range(b):
+            for j, view in enumerate(schema.views):
+                for c in view:
+                    expected[i, :, c] = data[r[i, j], :, c]
+                expected_labels[i, j] = labels[r[i, j]]
+        shuffled, view_labels = shuffle_batch(data, labels, schema, r)
+        assert shuffled.dtype == data.dtype and view_labels.dtype == labels.dtype
+        assert np.array_equal(shuffled, expected)
+        assert np.array_equal(view_labels, expected_labels)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 10), st.integers(1, 4), st.integers(0, 2**32 - 1))
     def test_label_alignment_property(self, b, n, seed):
