@@ -127,6 +127,8 @@ def cmd_synth(args):
     if axis.shape != (3,) or not 0.0 < norm < math.inf:
         raise ConfigError(f"mounting axis must be three finite numbers x,y,z, not all zero; "
                           f"got {args.mounting_axis!r}")
+    if not math.isfinite(args.mounting_angle_deg):
+        raise ConfigError(f"mounting angle must be finite; got {args.mounting_angle_deg!r}")
     half = math.radians(args.mounting_angle_deg) / 2.0
     mounting = (math.cos(half), *(math.sin(half) * axis / norm))
     spec = SynthSpec(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attitude import G0, quat_angle, quat_multiply_raw, quat_normalize
+from .attitude import G0, _hamilton, quat_angle, quat_multiply_raw, quat_normalize
 from .dataset import Recording
 from .errors import ConfigError, InvalidInputError
 from .globalview import rotation_from_quaternion
@@ -53,29 +53,38 @@ class SynthSpec:
         noise = (self.accel_noise_std, self.gyro_noise_std, self.mag_noise_std)
         if not all(0.0 <= std < math.inf for std in noise):
             raise ConfigError("noise std must be non-negative and finite")
-        if not all(map(math.isfinite, (self.lin_acc_freq_hz, *self.lin_acc_amp_ned))):
-            raise ConfigError("linear acceleration amplitude and frequency must be finite")
+        if not math.isfinite(self.lin_acc_freq_hz):
+            raise ConfigError("linear acceleration frequency must be finite")
+        _finite_floats(self.lin_acc_amp_ned, 3, "linear acceleration amplitude")
+        samples = self.duration_s * self.rate_hz
+        if not (math.isfinite(samples) and round(samples) >= 1):
+            raise ConfigError("duration times rate must round to at least one sample")
+        dt = 1.0 / self.rate_hz
+        t_last = (round(samples) - 1) * dt + dt  # the time synth_generate gives the last sample
+        if not math.isfinite(2.0 * math.pi * self.lin_acc_freq_hz * t_last):
+            raise ConfigError("linear acceleration phase must be finite over the recording")
+        # The norms are taken as synth_generate takes them, where they must not overflow.
+        with np.errstate(over="ignore"):
+            for dur, omega in self.segments:
+                if not 0.0 <= dur < math.inf:
+                    raise ConfigError("segment durations must be non-negative and finite")
+                omega = _finite_floats(omega, 3, "segment rates")
+                if not math.isfinite(float(np.linalg.norm(omega)) * dt):
+                    raise ConfigError("segment rate times the sample period must be finite")
+            for name in ("mounting", "initial_orientation"):
+                q = _finite_floats(getattr(self, name), 4, name)
+                if not 0.0 < math.sqrt(float(np.dot(q, q))) < math.inf:
+                    raise ConfigError(f"{name} must have a non-zero, finite norm")
 
 
-def _quat_exp_step(q, omega, dt):
-    """Exact one-step integration of constant body rate omega over dt."""
-    theta = float(np.linalg.norm(omega)) * dt
-    if theta < 1e-15:
-        dq = np.array([1.0, 0.0, 0.0, 0.0])
-    else:
-        axis = np.asarray(omega) * (dt / theta)
-        half = theta / 2.0
-        dq = np.concatenate([[math.cos(half)], axis * math.sin(half)])
-    return quat_normalize(quat_multiply_raw(q, dq))
-
-
-def _carrier_rate_at(spec, t):
-    acc = 0.0
-    for dur, omega in spec.segments:
-        if t < acc + dur:
-            return np.asarray(omega, dtype=float)
-        acc += dur
-    return np.zeros(3)
+def _finite_floats(values, size, name):
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        values = np.zeros(0)
+    if values.shape != (size,) or not np.isfinite(values).all():
+        raise ConfigError(f"{name} must be {size} finite numbers")
+    return values
 
 
 def synth_generate(spec, rng_seed=0):
@@ -85,11 +94,18 @@ def synth_generate(spec, rng_seed=0):
     the truth sequence is aligned with the filter's post-update estimates.
     The truth includes the mounting rotation: it is exactly what a perfect
     attitude filter on the mounted sensor should report.
+
+    Only the carrier-attitude recurrence runs per sample, and within one
+    segment it stops once a step leaves the attitude unchanged bit for bit
+    (a zero rate does so after one step).  The sine of the linear
+    acceleration is taken per sample with math.sin; everything else is one
+    array operation over the whole sequence.  The output equals that of
+    stepping sample by sample bit for bit: the stacked products below take
+    the same BLAS kernels as per-sample 4-vector dots and 3x3 matrix-vector
+    products do, which holds only for C-contiguous rotation stacks.
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     n = round(spec.duration_s * spec.rate_hz)
-    if n < 1:
-        raise InvalidInputError("spec produces an empty recording")
     dt = 1.0 / spec.rate_hz
 
     q_mount = quat_normalize(np.asarray(spec.mounting, dtype=float))
@@ -100,20 +116,47 @@ def synth_generate(spec, rng_seed=0):
     g_ned = np.array([0.0, 0.0, G0])
 
     data = np.empty((n, 9))
-    truth = np.empty((n, 4))
-    q_c = quat_normalize(np.asarray(spec.initial_orientation, dtype=float))
-    for i in range(n):
-        t_prev = i * dt
-        omega_c = _carrier_rate_at(spec, t_prev)
-        q_c = _quat_exp_step(q_c, omega_c, dt)
-        t = t_prev + dt
-        q_true = quat_normalize(quat_multiply_raw(q_c, q_mount))
-        r_true = rotation_from_quaternion(q_true)
-        a_lin = amp * math.sin(2.0 * math.pi * spec.lin_acc_freq_hz * t)
-        data[i, 0:3] = r_true.T @ (a_lin - g_ned)
-        data[i, 3:6] = r_true.T @ b_ned
-        data[i, 6:9] = r_mount.T @ omega_c
-        truth[i] = q_true
+    t_prev = np.arange(n) * dt
+    # Sample i runs at the rate of the first segment with t_prev[i] < its end.
+    ends, acc = [], 0.0
+    for dur, _ in spec.segments:
+        acc += dur
+        ends.append(acc)
+    stops = [*np.searchsorted(t_prev, ends).tolist(), n]
+    rates = [np.asarray(omega, dtype=float) for _, omega in spec.segments] + [np.zeros(3)]
+
+    q_c = np.empty((n, 4))
+    q = quat_normalize(np.asarray(spec.initial_orientation, dtype=float))
+    start = 0
+    for omega, stop in zip(rates, stops):
+        if stop <= start:
+            continue
+        # Exact one-step integration of the constant body rate omega over dt.
+        theta = float(np.linalg.norm(omega)) * dt
+        if theta < 1e-15:
+            dq = np.array([1.0, 0.0, 0.0, 0.0])
+        else:
+            half = theta / 2.0
+            dq = np.concatenate([[math.cos(half)], omega * (dt / theta) * math.sin(half)])
+        data[start:stop, 6:9] = r_mount.T @ omega
+        for i in range(start, stop):
+            q_next = quat_normalize(quat_multiply_raw(q, dq))
+            q_c[i] = q_next
+            if q_next.tobytes() == q.tobytes():  # a fixed point: the rest repeat it
+                q_c[i:stop] = q_next
+                break
+            q = q_next
+        start = stop
+
+    q_raw = np.stack(_hamilton(*q_c.T, *q_mount.tolist()), axis=1)
+    norms = np.sqrt((q_raw[:, None, :] @ q_raw[:, :, None])[:, 0])
+    truth = q_raw / norms
+    r_true_t = np.ascontiguousarray(rotation_from_quaternion(truth)).transpose(0, 2, 1)
+    w = 2.0 * math.pi * spec.lin_acc_freq_hz
+    sines = np.array([math.sin(w * t) for t in (t_prev + dt).tolist()])
+    a_lin = amp * sines[:, None]
+    data[:, 0:3] = (r_true_t @ (a_lin - g_ned)[:, :, None])[:, :, 0]
+    data[:, 3:6] = (r_true_t @ b_ned[:, None])[:, :, 0]
 
     if spec.accel_noise_std > 0:
         data[:, 0:3] += rng.normal(0.0, spec.accel_noise_std, (n, 3))

@@ -97,6 +97,9 @@ class TestSynth:
 
     @pytest.mark.parametrize("flag, value", [
         ("--duration", "nan"), ("--rate", "inf"), ("--accel-noise", "nan"), ("--seed", "-1"),
+        ("--yaw-rate", "inf"), ("--yaw-rate", "1e308"), ("--yaw-rate", "nan"),
+        ("--accel-freq", "1e308"), ("--mounting-angle-deg", "inf"),
+        ("--mounting-angle-deg", "nan"), ("--duration", "0.01"),
     ])
     def test_bad_option_value_exits_1(self, tmp_path, capsys, flag, value):
         assert main(["synth", flag, value, "--output", str(tmp_path / "x")]) == 1

@@ -6,10 +6,68 @@ import numpy as np
 import pytest
 
 from conftest import attitude_error_deg
-from flowhar.attitude import G0, MahonyParams
+from flowhar.attitude import G0, MahonyParams, quat_multiply_raw, quat_normalize
 from flowhar.errors import ConfigError, InvalidInputError
-from flowhar.globalview import mc_transform
-from flowhar.synth import SynthSpec, synth_generate, synth_population
+from flowhar.globalview import mc_transform, rotation_from_quaternion
+from flowhar.synth import INCLINATION_DEG, SynthSpec, synth_generate, synth_population
+
+
+def _quat_exp_step(q, omega, dt):
+    """Exact one-step integration of constant body rate omega over dt."""
+    theta = float(np.linalg.norm(omega)) * dt
+    if theta < 1e-15:
+        dq = np.array([1.0, 0.0, 0.0, 0.0])
+    else:
+        axis = np.asarray(omega) * (dt / theta)
+        half = theta / 2.0
+        dq = np.concatenate([[math.cos(half)], axis * math.sin(half)])
+    return quat_normalize(quat_multiply_raw(q, dq))
+
+
+def _carrier_rate_at(spec, t):
+    acc = 0.0
+    for dur, omega in spec.segments:
+        if t < acc + dur:
+            return np.asarray(omega, dtype=float)
+        acc += dur
+    return np.zeros(3)
+
+
+def per_sample_generate(spec, rng_seed=0):
+    """The generator stepped one sample at a time: synth_generate's oracle."""
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    n = round(spec.duration_s * spec.rate_hz)
+    dt = 1.0 / spec.rate_hz
+    q_mount = quat_normalize(np.asarray(spec.mounting, dtype=float))
+    r_mount = rotation_from_quaternion(q_mount)
+    inc = math.radians(INCLINATION_DEG)
+    b_ned = np.array([math.cos(inc), 0.0, math.sin(inc)])
+    amp = np.asarray(spec.lin_acc_amp_ned, dtype=float)
+    g_ned = np.array([0.0, 0.0, G0])
+
+    data = np.empty((n, 9))
+    truth = np.empty((n, 4))
+    q_c = quat_normalize(np.asarray(spec.initial_orientation, dtype=float))
+    for i in range(n):
+        t_prev = i * dt
+        omega_c = _carrier_rate_at(spec, t_prev)
+        q_c = _quat_exp_step(q_c, omega_c, dt)
+        t = t_prev + dt
+        q_true = quat_normalize(quat_multiply_raw(q_c, q_mount))
+        r_true = rotation_from_quaternion(q_true)
+        a_lin = amp * math.sin(2.0 * math.pi * spec.lin_acc_freq_hz * t)
+        data[i, 0:3] = r_true.T @ (a_lin - g_ned)
+        data[i, 3:6] = r_true.T @ b_ned
+        data[i, 6:9] = r_mount.T @ omega_c
+        truth[i] = q_true
+
+    if spec.accel_noise_std > 0:
+        data[:, 0:3] += rng.normal(0.0, spec.accel_noise_std, (n, 3))
+    if spec.mag_noise_std > 0:
+        data[:, 3:6] += rng.normal(0.0, spec.mag_noise_std, (n, 3))
+    if spec.gyro_noise_std > 0:
+        data[:, 6:9] += rng.normal(0.0, spec.gyro_noise_std, (n, 3))
+    return data, truth, np.full(n, spec.label, dtype=int)
 
 
 class TestSynthSpecValidation:
@@ -27,6 +85,24 @@ class TestSynthSpecValidation:
         {"lin_acc_freq_hz": -math.inf},
         {"lin_acc_amp_ned": (0.0, math.nan, 0.0)},
         {"lin_acc_amp_ned": (math.inf, 0.0, 0.0)},
+        {"duration_s": 0.01},
+        {"duration_s": 1e300, "rate_hz": 1e300},
+        {"lin_acc_freq_hz": 1e308},
+        {"duration_s": 0.6, "rate_hz": 1.0, "lin_acc_freq_hz": 3.4e307},
+        {"segments": ((math.nan, (0.0, 0.0, 1.0)),)},
+        {"segments": ((math.inf, (0.0, 0.0, 1.0)),)},
+        {"segments": ((-1.0, (0.0, 0.0, 1.0)),)},
+        {"segments": ((1.0, (0.0, 0.0, math.nan)),)},
+        {"segments": ((1.0, (0.0, 0.0, math.inf)),)},
+        {"segments": ((1.0, (0.0, 1.0)),)},
+        {"segments": ((1.0, (0.0, 0.0, 1e308)),)},
+        {"mounting": (math.nan, 0.0, 0.0, 1.0)},
+        {"mounting": (0.0, 0.0, 0.0, 0.0)},
+        {"mounting": (1e200, 0.0, 0.0, 0.0)},
+        {"mounting": (1.0, 0.0, 0.0)},
+        {"initial_orientation": (1.0, math.inf, 0.0, 0.0)},
+        {"initial_orientation": (0.0, 0.0, 0.0, 0.0)},
+        {"lin_acc_amp_ned": (1.0,)},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -85,6 +161,78 @@ class TestSynthGenerate:
     def test_labels_attached(self):
         rec, _ = synth_generate(SynthSpec(duration_s=1.0, rate_hz=30.0, label=3))
         assert np.all(rec.labels == 3)
+
+
+_SPIN = (0.4, -0.2, 0.9)
+ORACLE_SPECS = {
+    # Segment ends at 1/3 s and 1 s fall exactly on 30 Hz sample times.
+    "zero_rate_runs_between_rotations": SynthSpec(
+        duration_s=6.0, rate_hz=30.0,
+        segments=((1 / 3, _SPIN), (1.0, (0.0, 0.0, 0.0)), (1.0, (0.0, 0.5, -0.3)),
+                  (0.0, (2.0, 0.0, 0.0)), (1 / 3, (0.0, 0.0, 0.0)), (1.0, (1.2, 0.1, 0.0))),
+        lin_acc_amp_ned=(1.0, -0.5, 2.0), lin_acc_freq_hz=1.5,
+        mounting=(0.9, 0.1, -0.3, 0.2), initial_orientation=(2.0, 0.5, -1.0, 0.3),
+        accel_noise_std=0.05, gyro_noise_std=0.01, mag_noise_std=0.01, label=2,
+    ),
+    "still_from_a_random_heading": SynthSpec(
+        duration_s=12.0, rate_hz=30.0, lin_acc_amp_ned=(0.0, 3.0, 0.0), lin_acc_freq_hz=2.0,
+        mounting=(0.3, -0.8, 0.1, 0.5), initial_orientation=(-0.4, 0.2, 0.7, -0.1),
+        accel_noise_std=0.05, gyro_noise_std=0.01, mag_noise_std=0.01, label=1,
+    ),
+    "7_hz_noiseless": SynthSpec(
+        duration_s=9.0, rate_hz=7.0, segments=((2.0, (0.0, 0.0, 0.3)), (3.0, (0.7, -0.1, 0.2))),
+        lin_acc_amp_ned=(0.5, 0.0, -1.0), lin_acc_freq_hz=0.7,
+        mounting=(0.5, 0.5, 0.5, 0.5), initial_orientation=(0.0, 0.0, 0.0, 3.0),
+    ),
+    "100_hz_segment_past_the_end": SynthSpec(
+        duration_s=3.0, rate_hz=100.0, segments=((0.25, (0.0, 0.0, 0.0)), (10.0, (-1.5, 0.4, 0.9))),
+        lin_acc_amp_ned=(2.0, 2.0, 0.0), lin_acc_freq_hz=3.0,
+        mounting=(1.0, 0.0, 0.0, 1.0), accel_noise_std=0.1,
+    ),
+    "43_hz_gyro_noise_only": SynthSpec(
+        duration_s=2.7, rate_hz=43.3, segments=((0.5, (0.3, 0.3, 0.3)), (0.5, (0.0, 0.0, 0.0))),
+        initial_orientation=(0.1, -0.9, 0.2, 0.4), gyro_noise_std=0.02, label=4,
+    ),
+}
+
+
+def _random_spec(rng):
+    segments = tuple(
+        (float(rng.choice([1 / 3, 1.0, rng.uniform(0.0, 2.0)])),
+         tuple(rng.uniform(-2.0, 2.0, 3)) if rng.random() < 0.7 else (0.0, 0.0, 0.0))
+        for _ in range(int(rng.integers(0, 5)))
+    )
+    noise = float(rng.random() < 0.5)
+    return SynthSpec(
+        duration_s=float(rng.uniform(0.5, 6.0)), rate_hz=float(rng.uniform(7.0, 100.0)),
+        segments=segments, lin_acc_amp_ned=tuple(rng.uniform(-3.0, 3.0, 3)),
+        lin_acc_freq_hz=float(rng.uniform(0.0, 3.0)),
+        mounting=tuple(rng.normal(size=4) * 2.0), initial_orientation=tuple(rng.normal(size=4)),
+        accel_noise_std=0.05 * noise, gyro_noise_std=0.01 * noise, mag_noise_std=0.01 * noise,
+        label=int(rng.integers(5)),
+    )
+
+
+class TestPerSampleOracle:
+    """synth_generate equals the per-sample generator byte for byte."""
+
+    def _assert_same_bytes(self, spec, make_seed):
+        rec, truth = synth_generate(spec, make_seed())
+        data, truth_ref, labels = per_sample_generate(spec, make_seed())
+        for got, want in ((rec.sensors["imu0"], data), (truth, truth_ref), (rec.labels, labels)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", ["int", "generator"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_scripted_specs(self, name, seed):
+        make_seed = (lambda: 11) if seed == "int" else (lambda: np.random.default_rng(11))
+        self._assert_same_bytes(ORACLE_SPECS[name], make_seed)
+
+    def test_random_specs(self):
+        rng = np.random.default_rng(2024)
+        for k in range(40):
+            self._assert_same_bytes(_random_spec(rng), lambda: k)
 
 
 class TestSynthPopulation:
