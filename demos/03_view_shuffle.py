@@ -19,7 +19,7 @@ def main():
         for ch in range(3):
             data[i, 0, ch] = 100 * i + ch
     labels = np.arange(4)
-    schema = ViewSchema(granularity="medium", views=((0,), (1,), (2,)))
+    schema = ViewSchema(views=((0,), (1,), (2,)))
 
     r = np.array([[2, 3, 0], [0, 2, 1], [1, 0, 2], [3, 1, 3]])
     shuffled, view_labels = shuffle_batch(data, labels, schema, r)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInitError, InvalidInputError
+from .errors import ConfigError, InvalidInputError
 
 G0 = 9.80665  # standard gravity, m/s^2
 
@@ -82,13 +82,6 @@ def _rotation_entries(w, x, y, z):
     )
 
 
-def _rotation(q):
-    """Unchecked quadratic form: (4,) -> (3, 3), (t, 4) -> (t, 3, 3)."""
-    # One quaternion is done on Python floats, which cost less than NumPy scalars.
-    m = np.array(_rotation_entries(*(q.tolist() if q.ndim == 1 else q.T)))  # (9,) or (9, t)
-    return m.T.reshape(q.shape[:-1] + (3, 3))
-
-
 def rotation_from_quaternion(q):
     """Basis-change matrix taking body vectors into NED.
 
@@ -97,7 +90,10 @@ def rotation_from_quaternion(q):
     components; each matrix is orthogonal with determinant +1 for a unit
     quaternion (within 1e-6; any other row raises InvalidInputError).
     """
-    return _rotation(_require_unit(q))
+    q = _require_unit(q)
+    # One quaternion is done on Python floats, which cost less than NumPy scalars.
+    m = np.array(_rotation_entries(*(q.tolist() if q.ndim == 1 else q.T)))  # (9,) or (9, t)
+    return m.T.reshape(q.shape[:-1] + (3, 3))
 
 
 def quat_conjugate(q):
@@ -147,7 +143,7 @@ def quat_from_accel_mag(accel, mag):
     """TRIAD-style initial attitude from one accelerometer + magnetometer pair.
 
     The down axis comes from the (negated) specific-force direction, east from
-    down x mag, north completes the triad.  Raises DegenerateInitError when the
+    down x mag, north completes the triad.  Raises InvalidInputError when the
     two reference directions are within 1 degree of parallel.
     """
     accel = np.asarray(accel, dtype=float)
@@ -165,7 +161,7 @@ def quat_from_accel_mag(accel, mag):
     east_b = np.cross(down_b, m_n)
     ne = float(np.linalg.norm(east_b))
     if ne < math.sin(math.radians(1.0)):
-        raise DegenerateInitError("accelerometer and magnetometer nearly parallel")
+        raise InvalidInputError("accelerometer and magnetometer nearly parallel")
     east_b = east_b / ne
     north_b = np.cross(east_b, down_b)
     # Rows of M are the NED axes expressed in the body frame.
@@ -292,7 +288,7 @@ def mahony_run(series, params):
     _check_finite(series)
     try:
         q = quat_from_accel_mag(series[0, 0:3], series[0, 3:6]).tolist()
-    except (DegenerateInitError, InvalidInputError):
+    except InvalidInputError:
         q = _IDENTITY.tolist()
     dt = 1.0 / params.sample_rate_hz
     out = []

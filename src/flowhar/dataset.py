@@ -16,13 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .attitude import MahonyParams
-from .errors import (
-    ChannelUnusableError,
-    ConfigError,
-    InvalidInputError,
-    ParseError,
-    SpecMismatchError,
-)
+from .errors import ConfigError, DataError, InvalidInputError, ParseError
 from .globalview import mc_transform
 
 
@@ -243,7 +237,7 @@ def load_recording(path, spec):
     """
     data = _read_table(path)
     if not data.size:
-        raise SpecMismatchError(f"{path}: file contains no data rows")
+        raise DataError(f"{path}: file contains no data rows")
     needed = [spec.label_col]
     for sc in spec.sensors.values():
         needed.extend(sc.all_columns())
@@ -251,7 +245,7 @@ def load_recording(path, spec):
     if subj_col is not None:
         needed.append(subj_col)
     if max(needed) >= data.shape[1]:
-        raise SpecMismatchError(
+        raise DataError(
             f"{path}: spec needs column {max(needed)} but file has {data.shape[1]} columns"
         )
 
@@ -259,7 +253,7 @@ def load_recording(path, spec):
     # The range test also rejects NaN and inf; 2**63 itself is out of int64.
     in_int64 = (labels_raw >= -(2.0**63)) & (labels_raw < 2.0**63)
     if not np.all(in_int64 & (labels_raw == np.round(labels_raw))):
-        raise SpecMismatchError(
+        raise DataError(
             f"{path}: label column {spec.label_col} is not integral within int64"
         )
     labels = labels_raw.astype(int)
@@ -268,13 +262,13 @@ def load_recording(path, spec):
     if subj_col is not None:
         subj = data[:, subj_col]
         if not np.all(np.isfinite(subj)) or np.any(subj != np.round(subj)):
-            raise SpecMismatchError(f"{path}: subject column is not integral")
+            raise DataError(f"{path}: subject column is not integral")
         bounds = [0, *(np.flatnonzero(subj[1:] != subj[:-1]) + 1), len(data)]
         subjects = [str(int(subj[start])) for start in bounds[:-1]]
     else:
         m = re.search(spec.subject_source.split(":", 1)[1], str(path))
         if not m:
-            raise SpecMismatchError(f"{path}: subject pattern did not match filename")
+            raise DataError(f"{path}: subject pattern did not match filename")
         bounds = [0, len(data)]
         subjects = [m.group(1)]
 
@@ -317,7 +311,7 @@ def interpolate_nans(rec, max_gap):
             if not bad.any():
                 continue
             if bad.all():
-                raise ChannelUnusableError(f"sensor {name} channel {ch} has no valid samples")
+                raise DataError(f"sensor {name} channel {ch} has no valid samples")
             good_ix = np.flatnonzero(~bad)
             col[:] = np.interp(np.arange(len(col)), good_ix, col[good_ix])
             # Mark over-long runs invalid.  Leading/trailing runs count too.

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library.
+
+Each class is one that some caller tells apart: the CLI maps ConfigError to
+exit 1, DataError (ParseError included) to exit 2 and any other FlowError to
+exit 3.
+"""
 
 
 class FlowError(Exception):
@@ -13,14 +18,6 @@ class InvalidInputError(FlowError, ValueError):
     """An operation received arguments outside its contract."""
 
 
-class DegenerateInitError(InvalidInputError):
-    """Accelerometer and magnetometer are too close to parallel to fix a frame."""
-
-
-class SchemaError(ConfigError):
-    """A view schema cannot be built for the requested channel layout."""
-
-
 class DataError(FlowError):
     """Problems with on-disk recordings or dataset descriptions."""
 
@@ -31,15 +28,3 @@ class ParseError(DataError):
     def __init__(self, message, line_no=None):
         super().__init__(message)
         self.line_no = line_no
-
-
-class SpecMismatchError(DataError):
-    """File columns do not match the dataset description."""
-
-
-class InsufficientDataError(DataError):
-    """Recording too short for the requested processing."""
-
-
-class ChannelUnusableError(DataError):
-    """A sensor channel contains no valid samples at all."""

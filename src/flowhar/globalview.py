@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attitude import mahony_run, rotation_from_quaternion
-from .errors import InsufficientDataError, InvalidInputError
+from .errors import DataError, InvalidInputError
 
 LOCAL_CHANNELS = 9
 GLOBAL_CHANNELS = 13
@@ -60,7 +60,7 @@ def mc_transform(series, params):
     series = np.asarray(series, dtype=float)
     trim = math.ceil(params.warmup_seconds * params.sample_rate_hz)
     if series.shape[0] <= trim:
-        raise InsufficientDataError(
+        raise DataError(
             f"stream of {series.shape[0]} samples is not longer than the "
             f"{trim}-sample warm-up"
         )

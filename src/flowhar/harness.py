@@ -13,7 +13,7 @@ import time
 import traceback
 import warnings
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class ModeSpec:
     def schema(self, granularity, layout):
         if self.voting:
             return build_schema(granularity, layout)
-        return ViewSchema(granularity="single", views=(tuple(range(layout.num_channels)),))
+        return ViewSchema(views=(tuple(range(layout.num_channels)),))
 
 
 MODE_SPECS = {
@@ -80,6 +80,14 @@ class ExperimentConfig:
         if repeated:
             raise ConfigError(f"target_subjects repeats {', '.join(map(str, repeated))}")
         MahonyParams(warmup_seconds=self.warmup_seconds)  # ConfigError for a bad warm-up
+        # run_louo derives t, c, k, n and voting from the data and the mode.
+        settable = {f.name for f in fields(ModelConfig)} - {"t", "c", "k", "n", "voting"}
+        unknown = sorted(map(str, set(self.model_overrides) - settable))
+        if unknown:
+            raise ConfigError(
+                f"model_overrides cannot set {', '.join(unknown)}; "
+                f"settable: {', '.join(sorted(settable))}"
+            )
 
 
 @dataclass

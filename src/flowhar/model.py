@@ -41,6 +41,8 @@ class ModelConfig:
     voting: bool = True
 
     def __post_init__(self):
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError(f"dtype must be float32 or float64, not {self.dtype!r}")
         if self.k < 2:
             raise ConfigError("need at least two classes")
         if self.n < 1:

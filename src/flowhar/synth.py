@@ -10,6 +10,7 @@ readings are emitted together with the true attitude sequence.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,10 +66,16 @@ class SynthSpec:
             raise ConfigError("linear acceleration phase must be finite over the recording")
         # The norms are taken as synth_generate takes them, where they must not overflow.
         with np.errstate(over="ignore"):
-            for dur, omega in self.segments:
-                if not 0.0 <= dur < math.inf:
-                    raise ConfigError("segment durations must be non-negative and finite")
-                omega = _finite_floats(omega, 3, "segment rates")
+            for seg in self.segments:
+                try:
+                    dur, omega = seg
+                except (TypeError, ValueError):
+                    raise ConfigError(f"segment {seg!r} is not a (duration, rates) pair") from None
+                if not (isinstance(dur, numbers.Real) and 0.0 <= dur < math.inf):
+                    raise ConfigError(
+                        f"segment {seg!r}: duration must be a non-negative, finite number"
+                    )
+                omega = _finite_floats(omega, 3, f"segment {seg!r} rates")
                 if not math.isfinite(float(np.linalg.norm(omega)) * dt):
                     raise ConfigError("segment rate times the sample period must be finite")
             for name in ("mounting", "initial_orientation"):

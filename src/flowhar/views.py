@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, SchemaError
+from .errors import ConfigError, InvalidInputError
 from .globalview import GLOBAL_CHANNELS, LOCAL_CHANNELS
 
 GRANULARITIES = ("just_local", "small", "medium", "large")
@@ -38,20 +38,19 @@ class ChannelLayout:
 
     def local_channels(self, sensor):
         if not self.has_local:
-            raise SchemaError("layout has no local channels")
+            raise ConfigError("layout has no local channels")
         base = sensor * self.per_sensor
         return list(range(base, base + LOCAL_CHANNELS))
 
     def global_channels(self, sensor):
         if not self.has_global:
-            raise SchemaError("layout has no global channels")
+            raise ConfigError("layout has no global channels")
         base = sensor * self.per_sensor + (LOCAL_CHANNELS if self.has_local else 0)
         return list(range(base, base + GLOBAL_CHANNELS))
 
 
 @dataclass(frozen=True)
 class ViewSchema:
-    granularity: str
     views: tuple  # ordered tuple of channel-index tuples
 
     @property
@@ -69,7 +68,7 @@ def build_schema(granularity, layout):
     large: all local blocks together and all global blocks together (n = 2).
     """
     if granularity not in GRANULARITIES:
-        raise SchemaError(f"unknown granularity {granularity!r}")
+        raise ConfigError(f"unknown granularity {granularity!r}")
     m = layout.num_sensors
     views = []
     if granularity == "just_local":
@@ -101,7 +100,7 @@ def build_schema(granularity, layout):
             local_all.extend(layout.local_channels(s))
             global_all.extend(layout.global_channels(s))
         views = [tuple(local_all), tuple(global_all)]
-    return ViewSchema(granularity=granularity, views=tuple(views))
+    return ViewSchema(views=tuple(views))
 
 
 def gen_shuffle_matrix(b, n, rng):

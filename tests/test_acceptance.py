@@ -116,7 +116,7 @@ def test_criterion_4_shuffle_suite():
         for ch in range(3):
             data[i, :, ch] = 100 * i + ch
     labels = np.arange(4)
-    schema = ViewSchema(granularity="medium", views=((0,), (1,), (2,)))
+    schema = ViewSchema(views=((0,), (1,), (2,)))
     r = np.array([[2, 3, 0], [0, 2, 1], [1, 0, 2], [3, 1, 3]])
     shuffled, view_labels = shuffle_batch(data, labels, schema, r)
     for i in range(4):
@@ -243,7 +243,7 @@ def test_criterion_6_freeze_suite():
     rng = np.random.default_rng(0)
     data = rng.normal(size=(8, 9, 4))
     labels = rng.integers(0, 2, size=8)
-    schema = ViewSchema(granularity="medium", views=((0, 1), (2, 3)))
+    schema = ViewSchema(views=((0, 1), (2, 3)))
 
     params = init_params(cfg, seed=1)
     frozen = {k: v.data.copy() for k, v in params.items() if k.startswith("voting.")}

@@ -148,6 +148,42 @@ class TestTransform:
         assert code == 2
         assert capsys.readouterr().err.startswith("data error: ")
 
+    @staticmethod
+    def _rows(case):
+        # label, a static imu0 reading (accel, mag, gyro), subject id.
+        rows = [["0", "0", "0", "-9.8", "0.5", "0", "0.8", "0", "0", "0", "1"] for _ in range(60)]
+        if case == "too_few_columns":
+            rows = [row[:6] for row in rows]
+        elif case == "no_data_rows":
+            rows = []
+        elif case == "non_integral_label":
+            rows[30][0] = "0.5"
+        elif case == "non_integral_subject":
+            rows[30][10] = "1.5"
+        elif case == "all_nan_channel":
+            for row in rows:
+                row[1] = "nan"
+        return rows
+
+    @pytest.mark.parametrize("case, message", [
+        ("too_few_columns", ": spec needs column 10 but file has 6 columns"),
+        ("no_data_rows", ": file contains no data rows"),
+        ("non_integral_label", ": label column 0 is not integral within int64"),
+        ("non_integral_subject", ": subject column is not integral"),
+        ("all_nan_channel", "sensor imu0 channel 0 has no valid samples"),
+    ])
+    def test_bad_recording_exits_2(self, tmp_path, capsys, case, message):
+        spec = tmp_path / "synth.spec"
+        spec.write_text(SPEC_TEXT.replace("filename:subj(\\d+)", "col:10"))
+        rec = tmp_path / "bad.rec"
+        rows = ["# label imu0 subject"] + [" ".join(row) for row in self._rows(case)]
+        rec.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out.txt"
+        code = main(["transform", "--spec", str(spec), "--input", str(rec), "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ") and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("pattern", ["subj(\\d+", "subj\\d+"], ids=["unclosed", "no_group"])
     def test_bad_subject_pattern_exits_1(self, tmp_path, capsys, pattern):

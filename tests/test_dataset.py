@@ -27,13 +27,7 @@ from flowhar.dataset import (
     parse_spec_file,
     segment_windows,
 )
-from flowhar.errors import (
-    ChannelUnusableError,
-    ConfigError,
-    InvalidInputError,
-    ParseError,
-    SpecMismatchError,
-)
+from flowhar.errors import ConfigError, DataError, InvalidInputError, ParseError
 from flowhar.synth import SynthSpec, synth_population
 from flowhar.trainer import EpochRecord, TrainConfig, TrainLog, stack_windows
 
@@ -141,7 +135,7 @@ def interpolate_nans_loop(rec, max_gap):
             if not bad.any():
                 continue
             if bad.all():
-                raise ChannelUnusableError(f"sensor {name} channel {ch} has no valid samples")
+                raise DataError(f"sensor {name} channel {ch} has no valid samples")
             good_ix = np.flatnonzero(~bad)
             col[:] = np.interp(np.arange(len(col)), good_ix, col[good_ix])
             run_start = None
@@ -298,7 +292,7 @@ class TestLoadRecording:
         spec = parse_spec_file(write_spec(tmp_path))
         rows = [row[:6] for row in make_rows(4)]
         path = write_recording(tmp_path, rows)
-        with pytest.raises(SpecMismatchError):
+        with pytest.raises(DataError, match="spec needs column"):
             load_recording(path, spec)
 
     def test_malformed_row_line_number(self, tmp_path):
@@ -358,7 +352,7 @@ class TestLoadRecording:
     def test_non_integral_subject_rejected(self, tmp_path, subject):
         spec = parse_spec_file(write_spec(tmp_path))
         path = write_recording(tmp_path, make_rows(2) + make_rows(1, subject=subject))
-        with pytest.raises(SpecMismatchError):
+        with pytest.raises(DataError, match="subject column is not integral"):
             load_recording(path, spec)
 
     def test_subject_from_filename(self, tmp_path):
@@ -372,7 +366,7 @@ class TestLoadRecording:
     def test_label_not_int64_rejected(self, tmp_path, label):
         spec = parse_spec_file(write_spec(tmp_path))
         path = write_recording(tmp_path, make_rows(2) + make_rows(1, label=label))
-        with pytest.raises(SpecMismatchError):
+        with pytest.raises(DataError, match="is not integral within int64"):
             load_recording(path, spec)
 
     def test_int64_edge_labels_kept(self, tmp_path):
@@ -432,7 +426,7 @@ class TestReadTable:
         path.write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SpecMismatchError, match="no data rows"):
+            with pytest.raises(DataError, match="no data rows"):
                 load_recording(path, spec)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -479,7 +473,7 @@ class TestInterpolateNans:
         assert list(rec.valid) == [True, False, False, False, True]
 
     def test_all_nan_channel(self):
-        with pytest.raises(ChannelUnusableError):
+        with pytest.raises(DataError, match="channel 0 has no valid samples"):
             interpolate_nans(self._rec([np.nan, np.nan]), max_gap=1)
 
     @settings(max_examples=150, deadline=None)
@@ -507,8 +501,8 @@ class TestInterpolateNans:
         )
         try:
             want_sensors, want_valid = interpolate_nans_loop(rec, max_gap)
-        except ChannelUnusableError:
-            with pytest.raises(ChannelUnusableError):
+        except DataError as exc:
+            with pytest.raises(DataError, match=re.escape(str(exc))):
                 interpolate_nans(rec, max_gap)
             return
         got = interpolate_nans(rec, max_gap)

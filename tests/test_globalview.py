@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import quat_to_matrix, random_unit_quat, static_stream
 from flowhar.attitude import G0, MahonyParams
-from flowhar.errors import InsufficientDataError, InvalidInputError
+from flowhar.errors import DataError, InvalidInputError
 from flowhar.globalview import (
     GLOBAL_CHANNELS,
     LOCAL_CHANNELS,
@@ -136,7 +136,7 @@ class TestMcTransform:
 
     def test_too_short_stream(self):
         series = static_stream(np.array([1.0, 0, 0, 0]), 30)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DataError, match="not longer than the 30-sample warm-up"):
             mc_transform(series, MahonyParams(sample_rate_hz=30.0, warmup_seconds=1.0))
 
     def test_static_oracle(self):

@@ -82,6 +82,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="warmup_seconds"):
             ExperimentConfig(warmup_seconds=warmup)
 
+    @pytest.mark.parametrize("key", ["t", "c", "k", "n", "voting", "bogus"])
+    def test_model_override_not_settable(self, key):
+        with pytest.raises(ConfigError, match=f"model_overrides cannot set {key};"):
+            ExperimentConfig(model_overrides={key: 5})
+
 
 class TestModeSpecs:
     @pytest.mark.parametrize("mode", MODES)
@@ -116,7 +121,7 @@ class TestRunBaseline:
     def _fit(self, windows, epochs, lr, test=None):
         cfg = ModelConfig(t=24, c=4, k=2, n=1, conv_layers=2, conv_kernel=3,
                           lstm_layers=1, voting=False, **TINY_MODEL)
-        schema = ViewSchema(granularity="single", views=((0, 1, 2, 3),))
+        schema = ViewSchema(views=((0, 1, 2, 3),))
         tc = TrainConfig(epochs=epochs, batch_size=8, lr=lr, seed=0)
         params = init_params(cfg, tc.seed)
         log = fit(*stack_windows(windows, cfg.dtype), schema, params, cfg, tc, test)
@@ -181,6 +186,10 @@ class TestRunLouo:
         calls.clear()
         _, _, log = TestRunBaseline()._fit(TestRunBaseline()._windows(), epochs=2, lr=1e-3)
         assert calls == [] and len(log.records) == 2
+
+    def test_bad_model_dtype_is_config_error(self):
+        with pytest.raises(ConfigError, match="dtype must be float32 or float64, not 'banana'"):
+            run_louo(tiny_population(), tiny_config(model_overrides={"dtype": "banana"}))
 
     def test_no_recordings_is_invalid_input(self):
         with pytest.raises(InvalidInputError, match="no recordings"):

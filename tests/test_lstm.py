@@ -210,7 +210,7 @@ def _train(monkeypatch, steps_oracle, dtype, steps=5):
     rng = np.random.default_rng(3)
     data = rng.normal(size=(8, cfg.t, cfg.c))
     labels = rng.integers(0, cfg.k, size=8)
-    schema = ViewSchema(granularity="medium", views=((0, 1), (2, 3)))
+    schema = ViewSchema(views=((0, 1), (2, 3)))
     params = init_params(cfg, seed=4)
     model.set_normalization(params, data)
     opt1 = Adam(params_by_prefix(params, "backbone.", "mvf."), lr=1e-2)

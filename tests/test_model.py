@@ -39,6 +39,7 @@ class TestModelConfig:
         [
             {"k": 1}, {"n": 0}, {"conv_filters": 0}, {"voting": False},
             {"conv_layers": 0}, {"conv_kernel": 0}, {"lstm_layers": 0},
+            {"dtype": "int32"}, {"dtype": "float16"},
         ],
     )
     def test_validation(self, kwargs):

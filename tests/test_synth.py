@@ -1,6 +1,7 @@
 """Synthetic rigid-body oracle tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,17 @@ class TestSynthSpecValidation:
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             SynthSpec(**kwargs)
+
+    @pytest.mark.parametrize("segment, message", [
+        ((1.0,), "is not a (duration, rates) pair"),
+        ((1.0, (0, 0, 1), 2), "is not a (duration, rates) pair"),
+        (("a", (0, 0, 1)), "duration must be a non-negative, finite number"),
+        (5, "is not a (duration, rates) pair"),
+    ], ids=["one_item", "three_items", "string_duration", "not_a_pair"])
+    def test_malformed_segment(self, segment, message):
+        with pytest.raises(ConfigError, match=re.escape(f"segment {segment!r}")) as info:
+            SynthSpec(segments=(segment,))
+        assert message in str(info.value)
 
 
 class TestSynthGenerate:

@@ -37,7 +37,6 @@ def tiny_setup(b=8, t=9, c=4, k=2, n=2, seed=0):
     labels = rng.integers(0, k, size=b)
     per_view = c // n
     schema = ViewSchema(
-        granularity="medium",
         views=tuple(tuple(range(v * per_view, (v + 1) * per_view)) for v in range(n)),
     )
     return cfg, params, data, labels, schema
@@ -99,7 +98,7 @@ class TestPhase1:
         # samples with their labels, so the phase-1 loss equals plain
         # cross-entropy of the batch.
         cfg, params, data, labels, _ = tiny_setup(n=1)
-        schema = ViewSchema(granularity="just_local", views=(tuple(range(4)),))
+        schema = ViewSchema(views=(tuple(range(4)),))
         from flowhar.model import backbone_forward, mvf_forward
 
         feats = backbone_forward(Tensor(data), params, cfg)
@@ -114,7 +113,7 @@ class TestPhase1:
         # One view covering every channel: the shuffle permutes whole samples
         # with their labels, so the count equals the unshuffled batch's.
         cfg, params, data, labels, _ = tiny_setup(b=16, n=1)
-        schema = ViewSchema(granularity="just_local", views=(tuple(range(4)),))
+        schema = ViewSchema(views=(tuple(range(4)),))
         _, grouped = full_forward(data, params, cfg)
         expected = np.count_nonzero(grouped.data[:, 0, :].argmax(axis=1) == labels)
         opt = Adam(params_by_prefix(params, "backbone.", "mvf."), lr=1e-1)
@@ -265,7 +264,7 @@ class TestFit:
     def test_empty_train_set(self):
         cfg = ModelConfig(t=9, c=4, k=2, n=2, **TINY)
         params = init_params(cfg, seed=0)
-        schema = ViewSchema(granularity="medium", views=((0, 1), (2, 3)))
+        schema = ViewSchema(views=((0, 1), (2, 3)))
         with pytest.raises(InvalidInputError, match="empty training set"):
             fit(np.zeros((0, 9, 4)), np.zeros(0, np.int64), schema, params, cfg,
                 TrainConfig(epochs=1))
@@ -273,7 +272,7 @@ class TestFit:
     def test_labels_of_another_length(self):
         cfg = ModelConfig(t=9, c=4, k=2, n=2, **TINY)
         params = init_params(cfg, seed=0)
-        schema = ViewSchema(granularity="medium", views=((0, 1), (2, 3)))
+        schema = ViewSchema(views=((0, 1), (2, 3)))
         data, labels = stack_windows(self._windows(), cfg.dtype)
         with pytest.raises(InvalidInputError, match="12 windows but 11 labels"):
             fit(data, labels[:-1], schema, params, cfg, TrainConfig(epochs=1))
@@ -283,7 +282,7 @@ class TestFit:
         for _ in range(2):
             cfg = ModelConfig(t=9, c=4, k=2, n=2, **TINY)
             params = init_params(cfg, seed=1)
-            schema = ViewSchema(granularity="medium", views=((0, 1), (2, 3)))
+            schema = ViewSchema(views=((0, 1), (2, 3)))
             tc = TrainConfig(epochs=3, batch_size=4, lr=1e-3, seed=5)
             log = fit(*stack_windows(self._windows(), cfg.dtype), schema, params, cfg, tc)
             results.append((snapshot(params, ("backbone.", "mvf.", "voting.")),
@@ -295,7 +294,7 @@ class TestFit:
     def test_log_has_both_losses_every_epoch(self):
         cfg = ModelConfig(t=9, c=4, k=2, n=2, **TINY)
         params = init_params(cfg, seed=1)
-        schema = ViewSchema(granularity="medium", views=((0, 1), (2, 3)))
+        schema = ViewSchema(views=((0, 1), (2, 3)))
         tc = TrainConfig(epochs=4, batch_size=4, seed=0)
         log = fit(*stack_windows(self._windows(), cfg.dtype), schema, params, cfg, tc)
         assert len(log.records) == 4
@@ -313,7 +312,7 @@ class TestFit:
             monkeypatch.setattr(trainer, f"train_phase{phase}", recording)
         cfg = ModelConfig(t=9, c=4, k=2, n=2, **TINY)
         params = init_params(cfg, seed=1)
-        schema = ViewSchema(granularity="medium", views=((0, 1), (2, 3)))
+        schema = ViewSchema(views=((0, 1), (2, 3)))
         tc = TrainConfig(epochs=1, batch_size=8, seed=0)
         log = fit(*stack_windows(self._windows(b=9), cfg.dtype), schema, params, cfg, tc)
         assert len(returned[1]) == 1 and len(returned[2]) == 2
@@ -335,7 +334,7 @@ class TestFit:
         cfg = ModelConfig(t=9, c=4, k=2, n=n, voting=voting, **TINY)
         params = init_params(cfg, seed=1)
         views = ((0, 1), (2, 3)) if voting else ((0, 1, 2, 3),)
-        schema = ViewSchema(granularity="medium", views=views)
+        schema = ViewSchema(views=views)
         tc = TrainConfig(epochs=2, batch_size=8, seed=0)
         log = fit(*stack_windows(self._windows(b=9), cfg.dtype), schema, params, cfg, tc)
         scoring, scored = (returned[2], 9) if voting else (returned[1], 8)
@@ -349,7 +348,7 @@ class TestFit:
     def test_toy_convergence_and_voting_quality(self):
         cfg = ModelConfig(t=9, c=4, k=2, n=2, dtype="float64", **TINY)
         params = init_params(cfg, seed=2)
-        schema = ViewSchema(granularity="medium", views=((0, 1), (2, 3)))
+        schema = ViewSchema(views=((0, 1), (2, 3)))
         tc = TrainConfig(epochs=40, batch_size=8, lr=1e-2, seed=3)
         data, labels = stack_windows(self._windows(b=16), cfg.dtype)
         fit(data, labels, schema, params, cfg, tc)

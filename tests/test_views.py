@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowhar.errors import InvalidInputError, SchemaError
+from flowhar.errors import ConfigError, InvalidInputError
 from flowhar.views import (
     ChannelLayout,
     ViewSchema,
@@ -27,7 +27,7 @@ class TestChannelLayout:
         layout = ChannelLayout(num_sensors=1, has_local=False)
         assert layout.num_channels == 13
         assert layout.global_channels(0) == list(range(13))
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError, match="layout has no local channels"):
             layout.local_channels(0)
 
 
@@ -61,11 +61,11 @@ class TestBuildSchema:
             assert len(flat) == len(set(flat))
 
     def test_unknown_granularity(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError, match="unknown granularity 'huge'"):
             build_schema("huge", ChannelLayout(num_sensors=1))
 
     def test_global_granularity_on_local_only_layout(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError, match="layout has no global channels"):
             build_schema("medium", ChannelLayout(num_sensors=1, has_global=False))
 
 
@@ -101,7 +101,6 @@ def _batch(b, t, channels_per_view, n):
             data[i, :, ch] = 100 * i + ch
     labels = np.arange(b) % 4
     schema = ViewSchema(
-        granularity="medium",
         views=tuple(
             tuple(range(v * channels_per_view, (v + 1) * channels_per_view))
             for v in range(n)
@@ -185,7 +184,7 @@ class TestShuffleBatch:
         layout = ChannelLayout(num_sensors=2)
         views = [tuple(rng.permutation(view).tolist())
                  for view in build_schema(granularity, layout).views]
-        schema = ViewSchema(granularity, tuple(views[k] for k in rng.permutation(len(views))))
+        schema = ViewSchema(tuple(views[k] for k in rng.permutation(len(views))))
         b, t = 7, 3
         data = rng.normal(size=(b, t, layout.num_channels)).astype(np.float32)
         labels = rng.integers(0, 5, size=b)
@@ -229,7 +228,7 @@ class TestShuffleBatch:
         labels = rng.integers(0, 5, size=b)
         owner = rng.integers(-1, 3, size=c)  # -1: channel in no view
         views = tuple(tuple(np.flatnonzero(owner == v).tolist()) for v in range(3))
-        schema = ViewSchema(granularity="medium", views=tuple(v for v in views if v))
+        schema = ViewSchema(views=tuple(v for v in views if v))
         if schema.n == 0:
             return
         r = gen_shuffle_matrix(b, schema.n, rng)
