@@ -4,9 +4,7 @@ multi-view fusion."""
 from .attitude import (
     G0,
     MahonyParams,
-    MahonyState,
     mahony_run,
-    mahony_step,
     quat_from_accel_mag,
     quat_multiply,
 )

@@ -13,7 +13,7 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,19 +57,12 @@ def _hamilton(aw, ax, ay, az, bw, bx, by, bz):
     )
 
 
-def quat_multiply_raw(a, b):
-    """Hamilton product without unit-norm checks (b may be a pure rate quaternion)."""
+def quat_multiply(a, b):
+    """Hamilton product a ⊗ b on Python floats, not renormalized and without
+    unit-norm checks (b may be a pure rate quaternion)."""
     a = np.asarray(a, dtype=float).tolist()
     b = np.asarray(b, dtype=float).tolist()
     return np.array(_hamilton(*a, *b))
-
-
-def quat_multiply(a, b):
-    """Hamilton product a ⊗ b, renormalized.
-
-    Both factors must already be unit quaternions (within 1e-6).
-    """
-    return quat_normalize(quat_multiply_raw(_require_unit(a), _require_unit(b)))
 
 
 def _rotation_entries(w, x, y, z):
@@ -94,11 +87,6 @@ def rotation_from_quaternion(q):
     # One quaternion is done on Python floats, which cost less than NumPy scalars.
     m = np.array(_rotation_entries(*(q.tolist() if q.ndim == 1 else q.T)))  # (9,) or (9, t)
     return m.T.reshape(q.shape[:-1] + (3, 3))
-
-
-def quat_conjugate(q):
-    q = np.asarray(q, dtype=float)
-    return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
 def quat_angle(a, b):
@@ -192,16 +180,14 @@ class MahonyParams:
             raise ConfigError("sample_rate_hz must be positive and finite")
         if not 0.0 <= self.warmup_seconds < math.inf:
             raise ConfigError("warmup_seconds must be non-negative and finite")
-
-
-@dataclass
-class MahonyState:
-    q: np.ndarray = field(default_factory=lambda: _IDENTITY.copy())
+        # globalview.mc_transform trims ceil() of this many samples.
+        if not math.isfinite(self.warmup_seconds * self.sample_rate_hz):
+            raise ConfigError("warmup_seconds times sample_rate_hz must be finite")
 
 
 def _mahony_update(q, row, dt):
-    """The filter update shared by mahony_step and mahony_run, on Python
-    floats and without input checks.
+    """mahony_run's per-sample filter update, on Python floats and without
+    input checks.
 
     q is (w, x, y, z) and row the 9 sample values [ax ay az mx my mz gx gy gz].
     Returns the new q as a tuple.  Raises InvalidInputError when a finite but
@@ -255,32 +241,18 @@ def _mahony_update(q, row, dt):
     return (w / n, x / n, y / n, z / n)
 
 
-def mahony_step(state, accel, gyro, mag, params):
-    """One checked filter update: the scalar reference for mahony_run.
-
-    A zero accelerometer or magnetometer vector disables that correction term
-    for the step (gyro-only propagation still happens).
-    """
-    accel = np.asarray(accel, dtype=float)
-    gyro = np.asarray(gyro, dtype=float)
-    mag = np.asarray(mag, dtype=float)
-    _check_finite(accel, gyro, mag)
-    q = _require_unit(state.q)
-    row = np.concatenate([accel, mag, gyro]).tolist()
-    return MahonyState(q=np.array(_mahony_update(q.tolist(), row, 1.0 / params.sample_rate_hz)))
-
-
 def mahony_run(series, params):
     """Filter a whole 9-axis stream.
 
     series: (t, 9) array in channel order [ax ay az mx my mz gx gy gz].
-    Returns a (t, 4) array of unit quaternions, one per input sample, equal
-    bit for bit to a loop of mahony_step.  The first sample seeds the filter
-    through quat_from_accel_mag (identity on a degenerate pair).  The series
-    is checked once for shape and finiteness; the loop then runs the shared
-    update on Python floats, since NumPy's per-call cost on 3- and 4-element
-    arrays is many times the arithmetic.  A sample that overflows the
-    quaternion raises InvalidInputError.  No warm-up trimming happens here.
+    Returns a (t, 4) array of unit quaternions, one per input sample.  The
+    first sample seeds the filter through quat_from_accel_mag (identity on a
+    degenerate pair).  A zero accelerometer or magnetometer vector disables
+    that correction term for its step (gyro-only propagation still happens).
+    The series is checked once for shape and finiteness; the loop then runs
+    the update on Python floats, since NumPy's per-call cost on 3- and
+    4-element arrays is many times the arithmetic.  A sample that overflows
+    the quaternion raises InvalidInputError.  No warm-up trimming happens here.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 2 or series.shape[1] != 9 or series.shape[0] == 0:

@@ -11,6 +11,7 @@ parameter array, which round-trips bit-exactly.
 from __future__ import annotations
 
 import json
+import numbers
 import zipfile
 from dataclasses import asdict, dataclass
 
@@ -41,6 +42,13 @@ class ModelConfig:
     voting: bool = True
 
     def __post_init__(self):
+        for name in ("t", "c", "k", "n", "conv_layers", "conv_filters", "conv_kernel",
+                     "lstm_layers", "lstm_hidden", "voting_hidden"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
+        if not isinstance(self.voting, bool):
+            raise ConfigError(f"voting must be True or False, not {self.voting!r}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, not {self.dtype!r}")
         if self.k < 2:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attitude import G0, _hamilton, quat_angle, quat_multiply_raw, quat_normalize
+from .attitude import G0, _hamilton, quat_angle, quat_multiply, quat_normalize
 from .dataset import Recording
 from .errors import ConfigError, InvalidInputError
 from .globalview import rotation_from_quaternion
@@ -57,6 +58,15 @@ class SynthSpec:
         if not math.isfinite(self.lin_acc_freq_hz):
             raise ConfigError("linear acceleration frequency must be finite")
         _finite_floats(self.lin_acc_amp_ned, 3, "linear acceleration amplitude")
+        # synth_generate writes the label into an int64 array.
+        label = self.label
+        if isinstance(label, bool) or not (
+            isinstance(label, numbers.Integral) and -(2**63) <= label < 2**63
+        ):
+            raise ConfigError(f"label must be an integer within int64, not {label!r}")
+        if not isinstance(self.segments, Sequence):
+            raise ConfigError(f"segments must be a sequence of (duration, rates) pairs, "
+                              f"not {self.segments!r}")
         samples = self.duration_s * self.rate_hz
         if not (math.isfinite(samples) and round(samples) >= 1):
             raise ConfigError("duration times rate must round to at least one sample")
@@ -147,7 +157,7 @@ def synth_generate(spec, rng_seed=0):
             dq = np.concatenate([[math.cos(half)], omega * (dt / theta) * math.sin(half)])
         data[start:stop, 6:9] = r_mount.T @ omega
         for i in range(start, stop):
-            q_next = quat_normalize(quat_multiply_raw(q, dq))
+            q_next = quat_normalize(quat_multiply(q, dq))
             q_c[i] = q_next
             if q_next.tobytes() == q.tobytes():  # a fixed point: the rest repeat it
                 q_c[i:stop] = q_next

@@ -100,6 +100,7 @@ class TestSynth:
         ("--yaw-rate", "inf"), ("--yaw-rate", "1e308"), ("--yaw-rate", "nan"),
         ("--accel-freq", "1e308"), ("--mounting-angle-deg", "inf"),
         ("--mounting-angle-deg", "nan"), ("--duration", "0.01"),
+        ("--label", "99999999999999999999"), ("--label", "-9223372036854775809"),
     ])
     def test_bad_option_value_exits_1(self, tmp_path, capsys, flag, value):
         assert main(["synth", flag, value, "--output", str(tmp_path / "x")]) == 1
@@ -147,6 +148,18 @@ class TestTransform:
                      "--output", str(tmp_path / "out.txt")])
         assert code == 2
         assert capsys.readouterr().err.startswith("data error: ")
+
+    def test_huge_warmup_exits_1(self, tmp_path, capsys):
+        # warmup times the rate overflows to inf, whose ceil() has no int.
+        spec = tmp_path / "synth.spec"
+        spec.write_text(SPEC_TEXT)
+        rec = synth(tmp_path / "subj0_static", label=0, seed=0, extra=["--duration", "5"])
+        out = tmp_path / "out.txt"
+        code = main(["transform", "--spec", str(spec), "--input", rec,
+                     "--output", str(out), "--warmup", "1e308"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: warmup_seconds times")
+        assert not out.exists()
 
     @staticmethod
     def _rows(case):
@@ -464,7 +477,7 @@ class TestBadInput:
     @pytest.mark.parametrize("flag, value", [
         ("--stride", "abc"), ("--mode", "bogus"),
         ("--warmup", "nan"), ("--warmup", "inf"), ("--lr", "nan"), ("--lr", "-1"),
-        ("--seed", "-1"),
+        ("--seed", "-1"), ("--warmup", "1e308"),
     ])
     def test_bad_option_value_exits_1(self, corpus, capsys, flag, value):
         spec, files = corpus

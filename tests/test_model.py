@@ -40,6 +40,8 @@ class TestModelConfig:
             {"k": 1}, {"n": 0}, {"conv_filters": 0}, {"voting": False},
             {"conv_layers": 0}, {"conv_kernel": 0}, {"lstm_layers": 0},
             {"dtype": "int32"}, {"dtype": "float16"},
+            {"conv_filters": "x"}, {"conv_filters": 2.5}, {"lstm_layers": True},
+            {"voting": "no"}, {"voting": 1}, {"t": 64.0}, {"k": None}, {"voting_hidden": "8"},
         ],
     )
     def test_validation(self, kwargs):

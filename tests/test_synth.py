@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import attitude_error_deg
-from flowhar.attitude import G0, MahonyParams, quat_multiply_raw, quat_normalize
+from flowhar.attitude import G0, MahonyParams, quat_multiply, quat_normalize
 from flowhar.errors import ConfigError, InvalidInputError
 from flowhar.globalview import mc_transform, rotation_from_quaternion
 from flowhar.synth import INCLINATION_DEG, SynthSpec, synth_generate, synth_population
@@ -22,7 +22,7 @@ def _quat_exp_step(q, omega, dt):
         axis = np.asarray(omega) * (dt / theta)
         half = theta / 2.0
         dq = np.concatenate([[math.cos(half)], axis * math.sin(half)])
-    return quat_normalize(quat_multiply_raw(q, dq))
+    return quat_normalize(quat_multiply(q, dq))
 
 
 def _carrier_rate_at(spec, t):
@@ -54,7 +54,7 @@ def per_sample_generate(spec, rng_seed=0):
         omega_c = _carrier_rate_at(spec, t_prev)
         q_c = _quat_exp_step(q_c, omega_c, dt)
         t = t_prev + dt
-        q_true = quat_normalize(quat_multiply_raw(q_c, q_mount))
+        q_true = quat_normalize(quat_multiply(q_c, q_mount))
         r_true = rotation_from_quaternion(q_true)
         a_lin = amp * math.sin(2.0 * math.pi * spec.lin_acc_freq_hz * t)
         data[i, 0:3] = r_true.T @ (a_lin - g_ned)
@@ -104,6 +104,13 @@ class TestSynthSpecValidation:
         {"initial_orientation": (1.0, math.inf, 0.0, 0.0)},
         {"initial_orientation": (0.0, 0.0, 0.0, 0.0)},
         {"lin_acc_amp_ned": (1.0,)},
+        {"segments": 5},
+        {"segments": None},
+        {"label": 2.5},
+        {"label": 2**63},
+        {"label": -(2**63) - 1},
+        {"label": True},
+        {"label": "1"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
