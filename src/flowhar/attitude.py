@@ -185,62 +185,6 @@ class MahonyParams:
             raise ConfigError("warmup_seconds times sample_rate_hz must be finite")
 
 
-def _mahony_update(q, row, dt):
-    """mahony_run's per-sample filter update, on Python floats and without
-    input checks.
-
-    q is (w, x, y, z) and row the 9 sample values [ax ay az mx my mz gx gy gz].
-    Returns the new q as a tuple.  Raises InvalidInputError when a finite but
-    huge accel or mag sample overflows its norm, or when the updated
-    quaternion's norm is zero or not finite (a finite but huge gyro rate
-    overflows it).
-    """
-    w, x, y, z = q
-    ax, ay, az, mx, my, mz, gx, gy, gz = row
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = _rotation_entries(w, x, y, z)
-    ex = ey = ez = 0.0
-    na = math.sqrt(ax * ax + ay * ay + az * az)
-    if na > 0.0:
-        if na == math.inf:
-            raise InvalidInputError("accelerometer sample too large")
-        ax, ay, az = ax / na, ay / na, az / na
-        # err = a x g_b, where g_b = m_rot.T @ (0, 0, -1) = -(m20, m21, m22)
-        # is the expected specific-force direction
-        ex = az * m21 - ay * m22
-        ey = ax * m22 - az * m20
-        ez = ay * m20 - ax * m21
-    nm = math.sqrt(mx * mx + my * my + mz * mz)
-    if nm > 0.0:
-        if nm == math.inf:
-            raise InvalidInputError("magnetometer sample too large")
-        mx, my, mz = mx / nm, my / nm, mz / nm
-        # h = m_rot @ m with its horizontal part turned onto north
-        bn = math.hypot(m00 * mx + m01 * my + m02 * mz, m10 * mx + m11 * my + m12 * mz)
-        bd = m20 * mx + m21 * my + m22 * mz
-        nb = math.sqrt(bn * bn + bd * bd)
-        if nb > 0.0:
-            bn, bd = bn / nb, bd / nb
-            # err += m x w_b, with w_b = m_rot.T @ (bn, 0, bd)
-            wx = m00 * bn + m20 * bd
-            wy = m01 * bn + m21 * bd
-            wz = m02 * bn + m22 * bd
-            ex += my * wz - mz * wy
-            ey += mz * wx - mx * wz
-            ez += mx * wy - my * wx
-
-    dw, dx, dy, dz = _hamilton(
-        w, x, y, z, 0.0, gx + MAHONY_KP * ex, gy + MAHONY_KP * ey, gz + MAHONY_KP * ez
-    )
-    w += 0.5 * dw * dt
-    x += 0.5 * dx * dt
-    y += 0.5 * dy * dt
-    z += 0.5 * dz * dt
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    if n == 0.0 or not math.isfinite(n):
-        raise InvalidInputError("filter quaternion overflowed: sample too large")
-    return (w / n, x / n, y / n, z / n)
-
-
 def mahony_run(series, params):
     """Filter a whole 9-axis stream.
 
@@ -249,22 +193,71 @@ def mahony_run(series, params):
     first sample seeds the filter through quat_from_accel_mag (identity on a
     degenerate pair).  A zero accelerometer or magnetometer vector disables
     that correction term for its step (gyro-only propagation still happens).
-    The series is checked once for shape and finiteness; the loop then runs
-    the update on Python floats, since NumPy's per-call cost on 3- and
-    4-element arrays is many times the arithmetic.  A sample that overflows
-    the quaternion raises InvalidInputError.  No warm-up trimming happens here.
+    The series is checked once for shape and finiteness, and the accel and
+    mag norms and unit vectors come from array ops over the whole series.
+    The loop then runs only the recurrence, on Python floats, since NumPy's
+    per-call cost on 3- and 4-element arrays is many times the arithmetic.
+    A finite but huge accel or mag sample, whose norm overflows, or a sample
+    that overflows the quaternion raises InvalidInputError.  No warm-up
+    trimming happens here.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 2 or series.shape[1] != 9 or series.shape[0] == 0:
         raise InvalidInputError("series must be a non-empty (t, 9) array")
     _check_finite(series)
+    a, m = series[:, 0:3], series[:, 3:6]
+    # Each sum runs left to right, as the same expression on floats does, so
+    # the norms round bit for bit as in a per-sample loop.  A zero vector's
+    # unit row is NaN and its flag is off.
+    with np.errstate(all="ignore"):
+        na = np.sqrt(a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1] + a[:, 2] * a[:, 2])
+        nm = np.sqrt(m[:, 0] * m[:, 0] + m[:, 1] * m[:, 1] + m[:, 2] * m[:, 2])
+        if (na == math.inf).any():
+            raise InvalidInputError("accelerometer sample too large")
+        if (nm == math.inf).any():
+            raise InvalidInputError("magnetometer sample too large")
+        rows = np.column_stack(
+            (a / na[:, None], m / nm[:, None], series[:, 6:9], na > 0.0, nm > 0.0)
+        )
     try:
-        q = quat_from_accel_mag(series[0, 0:3], series[0, 3:6]).tolist()
+        w, x, y, z = quat_from_accel_mag(series[0, 0:3], series[0, 3:6]).tolist()
     except InvalidInputError:
-        q = _IDENTITY.tolist()
+        w, x, y, z = _IDENTITY.tolist()
     dt = 1.0 / params.sample_rate_hz
     out = []
-    for row in series.tolist():
-        q = _mahony_update(q, row, dt)
-        out.append(q)
+    for ax, ay, az, mx, my, mz, gx, gy, gz, has_a, has_m in rows.tolist():
+        m00, m01, m02, m10, m11, m12, m20, m21, m22 = _rotation_entries(w, x, y, z)
+        ex = ey = ez = 0.0
+        if has_a:
+            # err = a x g_b, where g_b = m_rot.T @ (0, 0, -1) = -(m20, m21, m22)
+            # is the expected specific-force direction
+            ex = az * m21 - ay * m22
+            ey = ax * m22 - az * m20
+            ez = ay * m20 - ax * m21
+        if has_m:
+            # h = m_rot @ m with its horizontal part turned onto north
+            bn = math.hypot(m00 * mx + m01 * my + m02 * mz, m10 * mx + m11 * my + m12 * mz)
+            bd = m20 * mx + m21 * my + m22 * mz
+            nb = math.sqrt(bn * bn + bd * bd)
+            if nb > 0.0:
+                bn, bd = bn / nb, bd / nb
+                # err += m x w_b, with w_b = m_rot.T @ (bn, 0, bd)
+                wx = m00 * bn + m20 * bd
+                wy = m01 * bn + m21 * bd
+                wz = m02 * bn + m22 * bd
+                ex += my * wz - mz * wy
+                ey += mz * wx - mx * wz
+                ez += mx * wy - my * wx
+        dw, dx, dy, dz = _hamilton(
+            w, x, y, z, 0.0, gx + MAHONY_KP * ex, gy + MAHONY_KP * ey, gz + MAHONY_KP * ez
+        )
+        w += 0.5 * dw * dt
+        x += 0.5 * dx * dt
+        y += 0.5 * dy * dt
+        z += 0.5 * dz * dt
+        n = math.sqrt(w * w + x * x + y * y + z * z)
+        if n == 0.0 or not math.isfinite(n):
+            raise InvalidInputError("filter quaternion overflowed: sample too large")
+        w, x, y, z = w / n, x / n, y / n, z / n
+        out.append((w, x, y, z))
     return np.array(out)

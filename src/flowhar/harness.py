@@ -21,9 +21,9 @@ from .attitude import MahonyParams
 from .dataset import build_windows
 from .errors import ConfigError, FlowError, InvalidInputError
 from .metrics import accuracy, weighted_f1
-from .model import ModelConfig, init_params
+from .model import ModelConfig, init_params, require_integers
 from .trainer import TrainConfig, TrainLog, fit, stack_windows, usable_cpus
-from .views import ChannelLayout, ViewSchema, build_schema
+from .views import GRANULARITIES, ChannelLayout, ViewSchema, build_schema
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
+        if self.granularity not in GRANULARITIES:
+            raise ConfigError(f"granularity must be one of {GRANULARITIES}")
+        require_integers(self, "win_len", "stride")
+        if min(self.win_len, self.stride) < 1:
+            raise ConfigError("win_len and stride must be >= 1")
+        if any(not 0 <= c < self.num_classes for c in self.label_map.values()):
+            raise ConfigError(f"label map class indices must lie in [0, {self.num_classes})")
         # A repeat would train its subject twice and write its marker twice.
         repeated = [s for s, n in Counter(self.target_subjects).items() if n > 1]
         if repeated:

@@ -24,6 +24,15 @@ NORM_EPS = 1e-6  # added to each channel's std so a constant channel divides by 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
+def require_integers(config, *names):
+    """Raise ConfigError unless each named field of config is an integer
+    (numbers.Integral; a bool is not one)."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     t: int  # window length (timesteps)
@@ -42,15 +51,14 @@ class ModelConfig:
     voting: bool = True
 
     def __post_init__(self):
-        for name in ("t", "c", "k", "n", "conv_layers", "conv_filters", "conv_kernel",
-                     "lstm_layers", "lstm_hidden", "voting_hidden"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, not {value!r}")
+        require_integers(self, "t", "c", "k", "n", "conv_layers", "conv_filters",
+                         "conv_kernel", "lstm_layers", "lstm_hidden", "voting_hidden")
         if not isinstance(self.voting, bool):
             raise ConfigError(f"voting must be True or False, not {self.voting!r}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, not {self.dtype!r}")
+        if self.c < 1:
+            raise ConfigError("need at least one channel")
         if self.k < 2:
             raise ConfigError("need at least two classes")
         if self.n < 1:

@@ -16,6 +16,7 @@ is plain cross-entropy training.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -31,6 +32,7 @@ from .model import (
     heads_forward,
     mvf_forward,
     params_by_prefix,
+    require_integers,
     set_normalization,
     voting_forward,
 )
@@ -63,6 +65,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "epochs", "batch_size", "seed")
+        if isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real):
+            raise ConfigError(f"lr must be a real number, not {self.lr!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 2:

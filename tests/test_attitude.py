@@ -16,9 +16,12 @@ from conftest import (
     static_stream,
 )
 from flowhar.attitude import (
+    _IDENTITY,
     G0,
     MAHONY_KP,
     MahonyParams,
+    _hamilton,
+    _rotation_entries,
     mahony_run,
     quat_from_accel_mag,
     quat_from_rotation_matrix,
@@ -62,6 +65,66 @@ def mahony_run_numpy(series, params):
         q = quat_normalize(q + dq * dt)
         out[i] = q
     return out
+
+
+def _update_per_sample(q, row, dt):
+    """mahony_run's float update as it was, one sample at a time, with the
+    norms and unit vectors computed per sample."""
+    w, x, y, z = q
+    ax, ay, az, mx, my, mz, gx, gy, gz = row
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = _rotation_entries(w, x, y, z)
+    ex = ey = ez = 0.0
+    na = math.sqrt(ax * ax + ay * ay + az * az)
+    if na > 0.0:
+        if na == math.inf:
+            raise InvalidInputError("accelerometer sample too large")
+        ax, ay, az = ax / na, ay / na, az / na
+        ex = az * m21 - ay * m22
+        ey = ax * m22 - az * m20
+        ez = ay * m20 - ax * m21
+    nm = math.sqrt(mx * mx + my * my + mz * mz)
+    if nm > 0.0:
+        if nm == math.inf:
+            raise InvalidInputError("magnetometer sample too large")
+        mx, my, mz = mx / nm, my / nm, mz / nm
+        bn = math.hypot(m00 * mx + m01 * my + m02 * mz, m10 * mx + m11 * my + m12 * mz)
+        bd = m20 * mx + m21 * my + m22 * mz
+        nb = math.sqrt(bn * bn + bd * bd)
+        if nb > 0.0:
+            bn, bd = bn / nb, bd / nb
+            wx = m00 * bn + m20 * bd
+            wy = m01 * bn + m21 * bd
+            wz = m02 * bn + m22 * bd
+            ex += my * wz - mz * wy
+            ey += mz * wx - mx * wz
+            ez += mx * wy - my * wx
+    dw, dx, dy, dz = _hamilton(
+        w, x, y, z, 0.0, gx + MAHONY_KP * ex, gy + MAHONY_KP * ey, gz + MAHONY_KP * ez
+    )
+    w += 0.5 * dw * dt
+    x += 0.5 * dx * dt
+    y += 0.5 * dy * dt
+    z += 0.5 * dz * dt
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n == 0.0 or not math.isfinite(n):
+        raise InvalidInputError("filter quaternion overflowed: sample too large")
+    return (w / n, x / n, y / n, z / n)
+
+
+def mahony_run_per_sample(series, params):
+    """mahony_run as it was, the whole float update inside the loop; the
+    oracle that mahony_run must equal byte for byte."""
+    series = np.asarray(series, dtype=float)
+    try:
+        q = quat_from_accel_mag(series[0, 0:3], series[0, 3:6]).tolist()
+    except InvalidInputError:
+        q = _IDENTITY.tolist()
+    dt = 1.0 / params.sample_rate_hz
+    out = []
+    for row in series.tolist():
+        q = _update_per_sample(q, row, dt)
+        out.append(q)
+    return np.array(out)
 
 
 class TestQuatMultiply:
@@ -335,6 +398,63 @@ class TestMahonyRun:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError):
                 mahony_run(series, MahonyParams())
+
+    @pytest.mark.parametrize("rate", [30.0, 100.0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_per_sample_loop(self, seed, rate):
+        # Byte for byte on a synthetic recording and on random streams with
+        # every row kind whose norm or unit vector is an edge case.
+        params = MahonyParams(sample_rate_hz=rate)
+        rng = np.random.default_rng(seed)
+        spec = SynthSpec(
+            duration_s=6.0, rate_hz=rate, initial_orientation=tuple(random_unit_quat(rng)),
+            segments=((2.0, (0.0, 0.0, 0.5)), (3.0, tuple(rng.normal(size=3)))),
+            lin_acc_amp_ned=(0.5, -0.3, 0.2), accel_noise_std=0.05, gyro_noise_std=0.01,
+            mag_noise_std=0.02,
+        )
+        t = 150
+        opp = rng.integers(-2000, 2000, size=(t, 9)).astype(float)  # raw OPPORTUNITY units
+        edges = np.concatenate(
+            [
+                rng.normal(scale=2.0, size=(t, 3)) + [0.0, 0.0, -G0],
+                rng.normal(scale=0.3, size=(t, 3)) + [0.5, 0.0, 0.8],
+                rng.normal(scale=0.5, size=(t, 3)),
+            ],
+            axis=1,
+        )
+        kind = rng.integers(0, 8, size=t)
+        kind[0] = seed % 8  # the row that seeds the filter takes each kind in turn
+        edges[kind == 1, 0:3] = 0.0
+        edges[kind == 2, 3:6] = 0.0
+        edges[kind == 3, 0:6] = -0.0
+        edges[kind == 4] = -0.0
+        edges[kind == 5, 3:6] = edges[kind == 5, 0:3] * -0.05  # accel parallel to mag
+        edges[kind == 6, 0:3] = 1e-170  # squares underflow: a zero norm, x / 0 = inf
+        edges[kind == 7, 3:6] = -1e-160  # subnormal squares
+        streams = [synth_generate(spec, seed)[0].sensors["imu0"], opp, opp / 1000.0, edges]
+        for series in streams:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = mahony_run(series, params)
+            assert out.tobytes() == mahony_run_per_sample(series, params).tobytes()
+
+    @pytest.mark.parametrize(
+        "row, column, value",
+        [
+            *((row, column, value) for row in (0, 3) for column in (0, 2, 3, 5)
+              for value in (1e300, -1e300, 1.7e308)),
+            *((row, 6, value) for row in (0, 7) for value in (1e300, -1e300, 1.7e308)),
+        ],
+    )
+    def test_overflow_message_equals_per_sample_loop(self, row, column, value):
+        # The single-fault rows of the test_huge_* tests above.
+        series = static_stream(np.array([1.0, 0, 0, 0]), 17)
+        series[row, column] = value
+        with pytest.raises(InvalidInputError) as expected:
+            mahony_run_per_sample(series, MahonyParams())
+        with pytest.raises(InvalidInputError) as got:
+            mahony_run(series, MahonyParams())
+        assert str(got.value) == str(expected.value)
 
     def test_degenerate_first_sample_falls_back_to_identity(self):
         series = static_stream(np.array([1.0, 0, 0, 0]), 5)

@@ -82,6 +82,25 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="warmup_seconds"):
             ExperimentConfig(warmup_seconds=warmup)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"granularity": "bogus"}, "granularity"),
+            ({"win_len": 0}, "win_len"),
+            ({"win_len": 32.0}, "win_len"),
+            ({"win_len": True}, "win_len"),
+            ({"stride": 0}, "stride"),
+            ({"stride": -16}, "stride"),
+            ({"stride": "16"}, "stride"),
+            ({"label_map": {1: 5}, "num_classes": 4}, "label map"),
+            ({"label_map": {0: 0, 1: -1}, "num_classes": 2}, "label map"),
+            ({"label_map": {0: 0, 1: 2}, "num_classes": 2}, "label map"),
+        ],
+    )
+    def test_bad_windowing_or_labels(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            tiny_config(**kwargs)
+
     @pytest.mark.parametrize("key", ["t", "c", "k", "n", "voting", "bogus"])
     def test_model_override_not_settable(self, key):
         with pytest.raises(ConfigError, match=f"model_overrides cannot set {key};"):

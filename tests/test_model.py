@@ -42,6 +42,7 @@ class TestModelConfig:
             {"dtype": "int32"}, {"dtype": "float16"},
             {"conv_filters": "x"}, {"conv_filters": 2.5}, {"lstm_layers": True},
             {"voting": "no"}, {"voting": 1}, {"t": 64.0}, {"k": None}, {"voting_hidden": "8"},
+            {"c": 0}, {"c": -3},
         ],
     )
     def test_validation(self, kwargs):

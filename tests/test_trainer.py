@@ -69,6 +69,12 @@ class TestTrainConfig:
         for lr in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 TrainConfig(lr=lr)
+        # Integers only (a bool is not one), and a real learning rate.
+        for kwargs in ({"epochs": 2.5}, {"epochs": True}, {"epochs": "3"}, {"batch_size": 8.0},
+                       {"batch_size": None}, {"seed": 1.5}, {"seed": False}, {"lr": "x"},
+                       {"lr": None}, {"lr": True}):
+            with pytest.raises(ConfigError):
+                TrainConfig(**kwargs)
 
 
 class TestPhase1:
