@@ -211,6 +211,12 @@ def cmd_eval(args):
         raise DataError(f"no windows for target subject {args.target!r}" if args.target
                         else "no evaluable windows")
     data, labels = stack_windows(windows, config.dtype)
+    if data.shape[2] != config.c:
+        raise DataError(f"checkpoint {args.checkpoint} takes {config.c} channels; "
+                        f"the data has {data.shape[2]}")
+    if labels.max() >= config.k:
+        raise DataError(f"checkpoint {args.checkpoint} has {config.k} classes; "
+                        f"the data has class index {labels.max()}")
     _, _, cm = evaluate(data, labels, params, config)
     print(f"accuracy={accuracy(cm):.4f} weighted_f1={weighted_f1(cm):.4f}")
     return 0

@@ -10,6 +10,7 @@ codes map onto contiguous class indices.
 from __future__ import annotations
 
 import math
+import pathlib
 import re
 from dataclasses import dataclass, field, replace
 
@@ -108,6 +109,9 @@ class Recording:
 
 @dataclass(frozen=True)
 class Window:
+    """One training window.  data is a read-only (t, c) view into the channel
+    matrix it was cut from, so windows that overlap share their rows."""
+
     data: np.ndarray  # (t, c)
     label: int  # class index in [0, k)
     subject_id: str
@@ -233,7 +237,9 @@ def load_recording(path, spec):
     """Load a columnar recording file into one Recording per subject run.
 
     Gyroscope values are converted to rad/s.  Rows whose label code has no
-    entry in the label map are kept (windowing drops them later).
+    entry in the label map are kept (windowing drops them later).  A
+    "filename:" subject pattern is searched in the file's name alone, not in
+    its directories.
     """
     data = _read_table(path)
     if not data.size:
@@ -266,9 +272,9 @@ def load_recording(path, spec):
         bounds = [0, *(np.flatnonzero(subj[1:] != subj[:-1]) + 1), len(data)]
         subjects = [str(int(subj[start])) for start in bounds[:-1]]
     else:
-        m = re.search(spec.subject_source.split(":", 1)[1], str(path))
+        m = re.search(spec.subject_source.split(":", 1)[1], pathlib.Path(path).name)
         if not m:
-            raise DataError(f"{path}: subject pattern did not match filename")
+            raise DataError(f"{path}: subject pattern did not match the file name")
         bounds = [0, len(data)]
         subjects = [m.group(1)]
 
@@ -345,6 +351,8 @@ def segment_windows(data, labels, valid, subject_id, win_len, stride, label_map)
     Windows overlapping invalid or non-finite rows, or whose majority raw
     label is not in the label map, are dropped; ties go to the smallest
     mapped class.  A stream shorter than win_len yields an empty list.
+    Each window's data is a slice of one read-only view of data, not a copy:
+    a write through a window raises, and data itself stays writable.
     """
     if stride < 1 or win_len < 1:
         raise InvalidInputError("stride and win_len must be >= 1")
@@ -365,8 +373,10 @@ def segment_windows(data, labels, valid, subject_id, win_len, stride, label_map)
     order = np.lexsort((mapped, ~known))
     pick = order[counts[:, order].argmax(axis=1)]
     keep = known[pick]
+    view = np.asarray(data).view()
+    view.flags.writeable = False
     return [
-        Window(data=data[s:s + win_len].copy(), label=label, subject_id=subject_id)
+        Window(data=view[s:s + win_len], label=label, subject_id=subject_id)
         for s, label in zip(starts[keep].tolist(), mapped[pick[keep]].tolist())
     ]
 
@@ -390,14 +400,10 @@ def assemble_channels(rec, mode, mahony_params=None):
     # The filter runs at the recording's own rate, whatever mahony_params says.
     mahony_params = replace(mahony_params or MahonyParams(), sample_rate_hz=rec.sample_rate_hz)
     blocks = []
-    trim = None
     for n in names:
-        res = mc_transform(rec.sensors[n], mahony_params)
-        trim = res.trimmed
-        if mode == "global":
-            blocks.append(res.global_)
-        else:
-            blocks.append(np.concatenate([res.local, res.global_], axis=1))
+        global_ = mc_transform(rec.sensors[n], mahony_params)
+        trim = rec.length - len(global_)
+        blocks += [global_] if mode == "global" else [rec.sensors[n][trim:], global_]
     matrix = np.concatenate(blocks, axis=1)
     return matrix, rec.labels[trim:].copy(), rec.valid[trim:].copy()
 
@@ -406,7 +412,8 @@ def build_windows(recordings, mode, win_len, stride, label_map, mahony_params=No
     """assemble_channels + segment_windows over a list of recordings.
 
     M&C runs on each full continuous recording before windowing, so windows
-    never straddle recording boundaries.
+    never straddle recording boundaries.  The windows of one recording are
+    views into its one channel matrix, which they keep alive.
     """
     windows = []
     for rec in recordings:

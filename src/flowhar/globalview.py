@@ -4,14 +4,13 @@ The attitude sequence produced by the Mahony filter is turned into per-sample
 rotation matrices, the three sensor vectors are re-expressed in NED, and the
 13-value global view ``[a', m', g', qw, qx, qy, qz]`` is assembled.  The first
 second of output (configurable) is discarded because the filter is still
-converging there; the matching prefix of the local stream is discarded too so
-the two stay time-aligned.
+converging there; the global view of a (t, 9) stream ``series`` is therefore
+aligned with the local rows ``series[t - len(global_view):]``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,21 +40,13 @@ def transform_series(series, quats):
     return np.concatenate([rotated, quats], axis=1)
 
 
-@dataclass(frozen=True)
-class McResult:
-    """Aligned local/global streams after warm-up trimming."""
-
-    local: np.ndarray  # (t', 9)
-    global_: np.ndarray  # (t', 13); columns 9:13 are the attitude quaternions
-    trimmed: int  # samples dropped from the front
-
-
 def mc_transform(series, params):
-    """Run the Mahony filter over a local stream and re-express it in NED.
+    """Run the Mahony filter over a (t, 9) local stream and re-express it in NED.
 
-    Drops the first ceil(warmup_seconds * sample_rate_hz) samples from both
-    the local and the global stream so downstream windowing sees only settled
-    attitude estimates.
+    Returns the (t - trim, 13) global view, trim = ceil(warmup_seconds *
+    sample_rate_hz), so downstream windowing sees only settled attitude
+    estimates; columns 9:13 are the attitude quaternions.  Its rows line up
+    with the local rows series[t - trim:].
     """
     series = np.asarray(series, dtype=float)
     trim = math.ceil(params.warmup_seconds * params.sample_rate_hz)
@@ -65,9 +56,4 @@ def mc_transform(series, params):
             f"{trim}-sample warm-up"
         )
     quats = mahony_run(series, params)
-    global_ = transform_series(series, quats)
-    return McResult(
-        local=series[trim:].copy(),
-        global_=global_[trim:],
-        trimmed=trim,
-    )
+    return transform_series(series, quats)[trim:]

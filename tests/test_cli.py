@@ -452,6 +452,23 @@ class TestBadInput:
         assert ("data error: no windows for target subject '9'"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("c, label_line, message", [
+        (22, "label.1 = 1", "takes 22 channels; the data has 9"),
+        (9, "label.1 = 2", "has 2 classes; the data has class index 2"),
+    ], ids=["channels", "classes"])
+    def test_eval_of_data_the_checkpoint_does_not_fit_exits_2(self, corpus, tmp_path, capsys,
+                                                              c, label_line, message):
+        _, files = corpus
+        spec = tmp_path / "synth.spec"
+        spec.write_text(SPEC_TEXT.replace("num_classes = 2", "num_classes = 3")
+                        .replace("label.1 = 1", label_line))
+        ckpt = tmp_path / "model.npz"
+        cfg = ModelConfig(t=32, c=c, k=2, n=1, voting=False, conv_filters=2,
+                          lstm_hidden=4, voting_hidden=4)
+        save_checkpoint(ckpt, cfg, init_params(cfg, seed=0), seed=0, mode="vL_only")
+        assert main(self._argv("eval", spec, files, ckpt)) == 2
+        assert capsys.readouterr().err == f"data error: checkpoint {ckpt} {message}\n"
+
     @pytest.mark.parametrize("target, subjects, message", [
         ("9", 2, "no windows for target subject '9'"),
         ("0", 1, "empty training set"),  # no other subject to train on

@@ -6,6 +6,7 @@ import os
 import pathlib
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from flowhar.dataset import (
     segment_windows,
 )
 from flowhar.errors import ConfigError, DataError, InvalidInputError, ParseError
+from flowhar.globalview import mc_transform
 from flowhar.synth import SynthSpec, synth_population
 from flowhar.trainer import EpochRecord, TrainConfig, TrainLog, stack_windows
 
@@ -76,7 +78,8 @@ def load_recording_loop(data, path, spec):
     if spec.subject_source.startswith("col:"):
         subjects = [str(int(v)) for v in data[:, int(spec.subject_source[4:])]]
     else:
-        subjects = [re.search(spec.subject_source.split(":", 1)[1], str(path)).group(1)] * len(data)
+        name = pathlib.Path(path).name
+        subjects = [re.search(spec.subject_source.split(":", 1)[1], name).group(1)] * len(data)
     gyro_scale = math.pi / 180.0 if spec.gyro_unit == "deg/s" else 1.0
     recordings = []
     start = 0
@@ -362,6 +365,17 @@ class TestLoadRecording:
         recs = load_recording(path, spec)
         assert len(recs) == 1 and recs[0].subject_id == "7"
 
+    def test_subject_pattern_ignores_directories(self, tmp_path):
+        # OPPORTUNITY's pattern also matches "HARS2-" in the directory.
+        text = SPEC_TEXT.replace("subject = col:0", r"subject = filename:S(\d+)-")
+        spec = parse_spec_file(write_spec(tmp_path, text))
+        (tmp_path / "HARS2-data").mkdir()
+        path = write_recording(tmp_path, make_rows(4), name="HARS2-data/S3-ADL1.dat")
+        assert [r.subject_id for r in load_recording(path, spec)] == ["3"]
+        path = write_recording(tmp_path, make_rows(4), name="HARS2-data/ADL1.dat")
+        with pytest.raises(DataError, match="did not match the file name"):
+            load_recording(path, spec)
+
     @pytest.mark.parametrize("label", [1e300, -1e300, 2.0**63, 1.5, np.nan, np.inf])
     def test_label_not_int64_rejected(self, tmp_path, label):
         spec = parse_spec_file(write_spec(tmp_path))
@@ -629,6 +643,20 @@ class TestSegmentWindows:
         out = segment_windows(np.zeros((3, 2)), np.zeros(3, int), np.ones(3, bool), "s", 10, 5, {0: 0})
         assert out == []
 
+    def test_windows_are_read_only_views(self):
+        data = np.arange(40.0).reshape(10, 4)
+        out = segment_windows(data, np.zeros(10, int), np.ones(10, bool), "s", 4, 2, {0: 0})
+        assert len(out) == 4
+        for w in out:
+            assert np.shares_memory(w.data, data)
+            # Overlapping windows share rows: a write through one would
+            # change its neighbours.
+            with pytest.raises(ValueError, match="read-only"):
+                w.data[1, 0] = -1.0
+        assert np.array_equal(data, np.arange(40.0).reshape(10, 4))
+        data[3, 0] = -1.0  # the caller's array stays writable
+        assert out[1].data[1, 0] == -1.0
+
 
 class TestLouoSplit:
     """run_louo stacks the windows once and splits them by a subject mask."""
@@ -713,6 +741,22 @@ class TestAssembleChannels:
         with pytest.raises(ConfigError):
             assemble_channels(self._rec(), "bogus")
 
+    def test_concat_blocks_are_local_rows_and_global_view(self):
+        inputs = load_perfbench_inputs()
+        spec = inputs.opportunity_spec()
+        rec = inputs.opportunity_recording(1, spec, 200)
+        params = MahonyParams(sample_rate_hz=rec.sample_rate_hz, warmup_seconds=0.5)
+        matrix, labels, valid = assemble_channels(rec, "concat", params)
+        global_matrix, _, _ = assemble_channels(rec, "global", params)
+        trim = 15
+        assert matrix.shape == (200 - trim, 22 * len(rec.sensors))
+        assert np.array_equal(labels, rec.labels[trim:]) and valid.shape == labels.shape
+        for i, series in enumerate(rec.sensors.values()):
+            global_ = mc_transform(series, params)
+            assert np.array_equal(matrix[:, 22 * i:22 * i + 9], series[trim:])
+            assert np.array_equal(matrix[:, 22 * i + 9:22 * (i + 1)], global_)
+            assert np.array_equal(global_matrix[:, 13 * i:13 * (i + 1)], global_)
+
     def test_mahony_rate_follows_recording(self):
         # A params object built for a different rate must not break the trim.
         rec = self._rec()
@@ -742,3 +786,24 @@ class TestBuildWindows:
         assert len(windows) == 4
         assert {w.subject_id for w in windows} == {"1", "2"}
         assert all(w.data.shape == (64, 13) for w in windows)
+
+    def test_memory_does_not_grow_with_overlap(self):
+        # Windows are views into their recording's one channel matrix, so
+        # four times as many of them hold little more memory.  Local mode
+        # windows the same way as the others and skips the filter, which
+        # runs slowly under tracemalloc.
+        inputs = load_perfbench_inputs()
+        spec = inputs.opportunity_spec()
+        rec = inputs.opportunity_recording(0, spec, 3000)
+
+        def held(stride):
+            tracemalloc.start()
+            try:
+                windows = build_windows([rec], "local", 64, stride, spec.label_map)
+                size = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(windows) > 3000 // (2 * stride)
+            return size
+
+        assert held(8) <= 1.2 * held(32)

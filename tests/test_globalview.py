@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import quat_to_matrix, random_unit_quat, static_stream
-from flowhar.attitude import G0, MahonyParams
+from flowhar.attitude import G0, MahonyParams, mahony_run
 from flowhar.errors import DataError, InvalidInputError
 from flowhar.globalview import (
     GLOBAL_CHANNELS,
-    LOCAL_CHANNELS,
     mc_transform,
     rotation_from_quaternion,
     transform_series,
@@ -129,10 +128,8 @@ class TestTransformSeries:
 class TestMcTransform:
     def test_trim_arithmetic(self):
         series = static_stream(np.array([1.0, 0, 0, 0]), 300)
-        res = mc_transform(series, MahonyParams(sample_rate_hz=30.0, warmup_seconds=1.0))
-        assert res.trimmed == 30
-        assert res.local.shape == (270, LOCAL_CHANNELS)
-        assert res.global_.shape == (270, GLOBAL_CHANNELS)
+        g = mc_transform(series, MahonyParams(sample_rate_hz=30.0, warmup_seconds=1.0))
+        assert g.shape == (300 - 30, GLOBAL_CHANNELS)
 
     def test_too_short_stream(self):
         series = static_stream(np.array([1.0, 0, 0, 0]), 30)
@@ -145,14 +142,20 @@ class TestMcTransform:
         rng = np.random.default_rng(21)
         q = random_unit_quat(rng)
         series = static_stream(q, 150)
-        res = mc_transform(series, MahonyParams(sample_rate_hz=30.0))
-        assert np.allclose(res.global_[:, 0:3], [0, 0, -G0], atol=1e-3 * G0)
-        assert np.allclose(res.global_[:, 6:9], 0.0, atol=1e-9)
+        g = mc_transform(series, MahonyParams(sample_rate_hz=30.0))
+        assert np.allclose(g[:, 0:3], [0, 0, -G0], atol=1e-3 * G0)
+        assert np.allclose(g[:, 6:9], 0.0, atol=1e-9)
 
     def test_local_alignment(self):
-        series = static_stream(np.array([1.0, 0, 0, 0]), 100)
-        res = mc_transform(series, MahonyParams(sample_rate_hz=30.0))
-        assert np.array_equal(res.local, series[res.trimmed:])
+        # Row i of the global view is local row trim + i re-expressed in NED.
+        rng = np.random.default_rng(4)
+        series = static_stream(random_unit_quat(rng), 100) + rng.normal(0, 0.1, (100, 9))
+        params = MahonyParams(sample_rate_hz=30.0)
+        g = mc_transform(series, params)
+        trim = len(series) - len(g)
+        assert trim == 30
+        full = transform_series(series, mahony_run(series, params))
+        assert np.array_equal(g, full[trim:])
 
     def test_mounting_invariance(self):
         # The same motion recorded under two constant mounting rotations must
@@ -171,7 +174,7 @@ class TestMcTransform:
         rec_a, _ = synth_generate(SynthSpec(**base))
         rec_b, _ = synth_generate(SynthSpec(mounting=mount, **base))
         params = MahonyParams(sample_rate_hz=30.0)
-        res_a = mc_transform(rec_a.sensors["imu0"], params)
-        res_b = mc_transform(rec_b.sensors["imu0"], params)
-        rmse = np.sqrt(np.mean((res_a.global_[:, 0:3] - res_b.global_[:, 0:3]) ** 2, axis=0))
+        g_a = mc_transform(rec_a.sensors["imu0"], params)
+        g_b = mc_transform(rec_b.sensors["imu0"], params)
+        rmse = np.sqrt(np.mean((g_a[:, 0:3] - g_b[:, 0:3]) ** 2, axis=0))
         assert np.all(rmse <= 1e-3 * G0)
