@@ -84,8 +84,7 @@ def rotation_from_quaternion(q):
     quaternion (within 1e-6; any other row raises InvalidInputError).
     """
     q = _require_unit(q)
-    # One quaternion is done on Python floats, which cost less than NumPy scalars.
-    m = np.array(_rotation_entries(*(q.tolist() if q.ndim == 1 else q.T)))  # (9,) or (9, t)
+    m = np.array(_rotation_entries(*q.T))  # (9,) or (9, t)
     return m.T.reshape(q.shape[:-1] + (3, 3))
 
 

@@ -1,12 +1,14 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Only the operations the network actually uses are provided: elementwise
-arithmetic, matmul, the three nonlinearities, shape ops, concat, a 1-d valid
-convolution along the time axis, a whole LSTM layer as one op with its
-backprop through time written out, softmax, and a fused softmax
-cross-entropy.  Graphs are built eagerly; backward() runs a topological
-sweep.  An op whose inputs need no gradient records no graph, so a forward
-pass on detached parameters is plain NumPy plus one Tensor per op.
+The network uses broadcasting add, subtract and multiply, matmul, relu,
+reshape, basic indexing, a 1-d valid convolution along the time axis, a
+whole LSTM layer as one op with its backprop through time written out,
+softmax, and a fused softmax cross-entropy.  sigmoid, tanh and sum stay as
+building blocks: tests/test_lstm.py builds its per-step reference LSTM graph
+from them, and the finite-difference checks reduce their outputs with sum.
+Graphs are built eagerly; backward() runs a topological sweep.  An op whose
+inputs need no gradient records no graph, so a forward pass on detached
+parameters is plain NumPy plus one Tensor per op.
 """
 
 from __future__ import annotations
@@ -111,9 +113,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    __radd__ = __add__
-    __rmul__ = __mul__
-
     def __neg__(self):
         return self * (-1.0)
 
@@ -189,15 +188,6 @@ class Tensor:
             out._backward = lambda g: self._accumulate(np.broadcast_to(g, self.data.shape).copy())
         return out
 
-    def mean(self):
-        n = self.data.size
-        out = _node(self.data.mean(), (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(
-                np.broadcast_to(g / n, self.data.shape).copy()
-            )
-        return out
-
 
 def _basic_index(part):
     if part is None or part is Ellipsis or isinstance(part, slice):
@@ -219,23 +209,6 @@ def _as_tensor(value, dtype):
     if isinstance(value, Tensor):
         return value
     return Tensor(np.asarray(value, dtype=dtype))
-
-
-def concat(tensors, axis):
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = _node(data, tuple(tensors))
-    if out._parents:
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward(g):
-            for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
-                if _needs_graph(t):
-                    idx = [slice(None)] * g.ndim
-                    idx[axis] = slice(a, b)
-                    t._accumulate(g[tuple(idx)])
-        out._backward = backward
-    return out
 
 
 def softmax(t, axis=-1):

@@ -36,6 +36,12 @@ from .trainer import TrainConfig, evaluate, stack_windows
 from .views import GRANULARITIES
 
 
+# The defaults of --warmup, --stride and --max-gap.  eval takes these three
+# from its checkpoint instead, and falls back to these for a checkpoint that
+# records none.
+_WINDOWING_DEFAULTS = {"warmup": 1.0, "stride": 32, "max_gap": 10}
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors are config errors (exit 1)."""
 
@@ -188,7 +194,8 @@ def cmd_train(args):
     print(f"target {row.subject}: accuracy={row.accuracy:.4f} f1={row.weighted_f1:.4f}")
     if args.checkpoint:
         save_checkpoint(args.checkpoint, report.model_config, row.params,
-                        cfg.train.seed, cfg.mode)
+                        cfg.train.seed, cfg.mode,
+                        {name: getattr(args, name) for name in _WINDOWING_DEFAULTS})
         print(f"checkpoint written to {args.checkpoint}")
     if args.out:
         emit_report(report, args.out)
@@ -197,9 +204,13 @@ def cmd_train(args):
 
 def cmd_eval(args):
     spec = ds.parse_spec_file(args.spec)
-    config, params, _seed, mode = load_checkpoint(args.checkpoint)
+    config, params, _seed, mode, windowing = load_checkpoint(args.checkpoint)
     if mode not in MODES:  # a tuple: an unhashable mode is just not found
         raise ConfigError(f"checkpoint {args.checkpoint} records no known mode (got {mode!r})")
+    # A flag that was given wins over what train recorded.
+    for name, value in (windowing or _WINDOWING_DEFAULTS).items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     recordings = _load_recordings(args.data, spec, args.max_gap)
     windows = ds.build_windows(
         recordings, MODE_SPECS[mode].channels, config.t, args.stride, spec.label_map,
@@ -252,15 +263,16 @@ def build_parser():
     def common_data(p):
         p.add_argument("--config", help="file of key = value lines, read as long options")
         p.add_argument("--spec", required=True, help="dataset spec file")
-        p.add_argument("--max-gap", dest="max_gap", type=int, default=10)
-        p.add_argument("--warmup", type=float, default=1.0)
+        p.add_argument("--max-gap", dest="max_gap", type=int,
+                       default=_WINDOWING_DEFAULTS["max_gap"])
+        p.add_argument("--warmup", type=float, default=_WINDOWING_DEFAULTS["warmup"])
 
     def common_train(p):
         p.add_argument("--data", nargs="+", required=True)
         p.add_argument("--mode", choices=MODES, default="flow")
         p.add_argument("--granularity", choices=GRANULARITIES, default="medium")
         p.add_argument("--win-len", dest="win_len", type=int, default=64)
-        p.add_argument("--stride", type=int, default=32)
+        p.add_argument("--stride", type=int, default=_WINDOWING_DEFAULTS["stride"])
         p.add_argument("--target", default="")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--epochs", type=int, default=300)
@@ -303,9 +315,10 @@ def build_parser():
     common_data(p)
     p.add_argument("--data", nargs="+", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--stride", type=int, default=32)
+    p.add_argument("--stride", type=int)
     p.add_argument("--target", default="")
-    p.set_defaults(func=cmd_eval)
+    # None: not given, so cmd_eval takes the value from the checkpoint.
+    p.set_defaults(func=cmd_eval, warmup=None, max_gap=None)
 
     p = sub.add_parser("louo", help="full leave-one-user-out sweep")
     common_data(p)
@@ -326,11 +339,13 @@ def main(argv=None):
         override = os.environ.get("FLOWHAR_OUTPUT_DIR")
         if override and hasattr(args, "out"):
             args.out = override
+        # eval leaves a flag that was not given as None.
+        stride, max_gap = getattr(args, "stride", None), getattr(args, "max_gap", None)
         # segment_windows would reject it too, but as a runtime failure (exit 3).
-        if getattr(args, "stride", 1) < 1:
+        if stride is not None and stride < 1:
             raise ConfigError("stride must be >= 1")
         # interpolate_nans would treat it as 0 without a word.
-        if getattr(args, "max_gap", 0) < 0:
+        if max_gap is not None and max_gap < 0:
             raise ConfigError("max-gap must be >= 0")
         if args.command == "train" and not args.target:
             raise ConfigError("train requires --target (the held-out subject)")

@@ -4,13 +4,14 @@ per-view confidences into final class logits.
 
 Parameters live in a flat name -> Tensor dict.  Names are prefixed
 "backbone.", "mvf." or "voting." so the trainer can freeze whole stages by
-prefix.  Checkpoints are .npz archives holding the config as JSON plus every
-parameter array, which round-trips bit-exactly.
+prefix.  Checkpoints are .npz archives holding the config, seed, mode and
+windowing as JSON plus every parameter array, which round-trips bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import zipfile
 from dataclasses import asdict, dataclass
@@ -24,12 +25,17 @@ NORM_EPS = 1e-6  # added to each channel's std so a constant channel divides by 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
+def _is_int(value):
+    """numbers.Integral, which a bool is not counted as."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def require_integers(config, *names):
     """Raise ConfigError unless each named field of config is an integer
     (numbers.Integral; a bool is not one)."""
     for name in names:
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not _is_int(value):
             raise ConfigError(f"{name} must be an integer, not {value!r}")
 
 
@@ -123,15 +129,17 @@ def set_normalization(params, data):
 def backbone_forward(x, params, config):
     """(b, t, c) input -> (b, lstm_hidden) features.
 
-    Four valid convolutions along time with rectifier activations, then the
-    LSTM stack; the final timestep's top hidden state is the feature vector.
+    The input is standardized with norm.mu and norm.sigma, which every
+    params dict holds (init_params builds them and load_checkpoint requires
+    them).  Four valid convolutions along time with rectifier activations
+    follow, then the LSTM stack; the final timestep's top hidden state is
+    the feature vector.
     """
     if not isinstance(x, Tensor):
         x = Tensor(np.asarray(x, dtype=config.dtype))
     if x.data.ndim != 3 or x.shape[2] != config.c or x.shape[1] != config.t:
         raise InvalidInputError(f"expected (b, {config.t}, {config.c}) input, got {x.shape}")
-    if "norm.mu" in params:
-        x = (x - params["norm.mu"]) * Tensor(1.0 / params["norm.sigma"].data)
+    x = (x - params["norm.mu"]) * Tensor(1.0 / params["norm.sigma"].data)
     for i in range(config.conv_layers):
         x = conv1d(x, params[f"backbone.conv{i}.w"], params[f"backbone.conv{i}.b"]).relu()
     for i in range(config.lstm_layers):
@@ -216,11 +224,27 @@ def params_by_prefix(params, *prefixes):
     return [t for name, t in sorted(params.items()) if name.startswith(prefixes)]
 
 
-def save_checkpoint(path, config, params, seed, mode):
-    """Write config, seed, pipeline mode and every parameter to one .npz."""
-    meta = json.dumps({"config": asdict(config), "seed": seed, "mode": mode})
+def save_checkpoint(path, config, params, seed, mode, windowing=None):
+    """Write config, seed, pipeline mode, the windowing the data was cut with
+    (a dict of warmup, stride and max_gap; not recorded when None) and every
+    parameter to one .npz."""
+    meta = {"config": asdict(config), "seed": seed, "mode": mode}
+    if windowing is not None:
+        meta["windowing"] = windowing
     arrays = {f"param:{name}": t.data for name, t in params.items()}
-    np.savez(path, meta=np.frombuffer(meta.encode(), dtype=np.uint8), **arrays)
+    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+
+
+def _windowing_ok(w):
+    """Whether w is a windowing record as save_checkpoint's callers write it:
+    warmup seconds finite and >= 0, stride an integer >= 1, max_gap an
+    integer >= 0, and no other key."""
+    if not isinstance(w, dict) or set(w) != {"warmup", "stride", "max_gap"}:
+        return False
+    warmup, stride, max_gap = w["warmup"], w["stride"], w["max_gap"]
+    return (isinstance(warmup, numbers.Real) and not isinstance(warmup, bool)
+            and 0.0 <= warmup < math.inf
+            and _is_int(stride) and stride >= 1 and _is_int(max_gap) and max_gap >= 0)
 
 
 def _layout(params):
@@ -228,15 +252,16 @@ def _layout(params):
 
 
 def load_checkpoint(path):
-    """(config, params, seed, mode); mode is None if the file records none.
-    A file that save_checkpoint did not write raises DataError, and so do
-    parameters other than the names, shapes and dtypes init_params builds."""
+    """(config, params, seed, mode, windowing); mode and windowing are None
+    if the file records none.  A file that save_checkpoint did not write
+    raises DataError, and so do parameters other than the names, shapes and
+    dtypes init_params builds, and a malformed windowing record."""
     try:
         # np.load(path) would leave the file open when the archive is corrupt.
         with open(path, "rb") as fh, np.load(fh) as archive:
             meta = json.loads(archive["meta"].tobytes().decode())
             config = ModelConfig(**meta["config"])
-            seed, mode = meta["seed"], meta.get("mode")
+            seed, mode, windowing = meta["seed"], meta.get("mode"), meta.get("windowing")
             params = {
                 key[len("param:"):]: Tensor(archive[key], requires_grad=True)
                 for key in archive.files if key.startswith("param:")
@@ -250,5 +275,8 @@ def load_checkpoint(path):
         raise DataError(f"{path} is not a flowhar checkpoint archive") from exc
     if _layout(params) != expected:
         raise DataError(f"{path} is not a flowhar checkpoint: its parameters do not fit its config")
-    return config, params, seed, mode
+    if windowing is not None and not _windowing_ok(windowing):
+        raise DataError(f"{path} is not a flowhar checkpoint: "
+                        f"its windowing record {windowing!r} is malformed")
+    return config, params, seed, mode, windowing
 

@@ -96,13 +96,15 @@ BAD_CHECKPOINTS = (
     "text", "empty", "truncated", "npy", "no_meta", "meta_not_object", "no_seed",
     "config_field_missing", "config_field_unknown", "config_rejected", "meta_only",
     "param_missing", "param_unknown", "param_wrong_shape", "param_wrong_dtype",
-    "no_conv_layers",
+    "no_conv_layers", "windowing_not_object", "windowing_key_missing",
+    "windowing_stride_zero", "windowing_stride_float", "windowing_warmup_negative",
 )
 
 
 def write_bad_checkpoint(path, case, config):
     """Write the BAD_CHECKPOINTS variant `case` of a checkpoint of config."""
     meta = {"config": asdict(config), "seed": 0, "mode": "vL_only"}
+    windowing = {"warmup": 1.0, "stride": 32, "max_gap": 10}
     arrays = {f"param:{name}": t.data for name, t in init_params(config, 0).items()}
     bias = arrays["param:mvf.b"]
 
@@ -148,6 +150,17 @@ def write_bad_checkpoint(path, case, config):
             meta["config"]["conv_layers"] = 0
             unchecked = SimpleNamespace(**meta["config"])
             arrays = {f"param:{name}": t.data for name, t in init_params(unchecked, 0).items()}
+        elif case == "windowing_not_object":
+            meta["windowing"] = list(windowing.values())
+        elif case == "windowing_key_missing":
+            del windowing["max_gap"]
+            meta["windowing"] = windowing
+        elif case == "windowing_stride_zero":
+            meta["windowing"] = {**windowing, "stride": 0}
+        elif case == "windowing_stride_float":
+            meta["windowing"] = {**windowing, "stride": 32.0}
+        elif case == "windowing_warmup_negative":
+            meta["windowing"] = {**windowing, "warmup": -1.0}
         else:
             raise ValueError(f"unknown case {case!r}")
         savez(path)

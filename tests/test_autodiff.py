@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_grad, max_rel_err
-from flowhar.autodiff import Tensor, concat, conv1d, softmax, softmax_cross_entropy
+from flowhar.autodiff import Tensor, conv1d, softmax, softmax_cross_entropy
 from flowhar.errors import InvalidInputError
 
 TOL = 1e-6
@@ -92,17 +92,6 @@ class TestMatmulAndShape:
         t = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
         with pytest.raises(InvalidInputError, match="Tensor index"):
             t[key]
-
-    def test_concat_grad(self):
-        a = Tensor(np.random.default_rng(7).normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(np.random.default_rng(8).normal(size=(2, 2)), requires_grad=True)
-        concat([a, b], axis=1).sum().backward()
-        assert np.allclose(a.grad, 1.0) and np.allclose(b.grad, 1.0)
-
-    def test_mean_grad(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        x.mean().backward()
-        assert np.allclose(x.grad, 1.0 / 6.0)
 
 
 class TestNonlinearities:

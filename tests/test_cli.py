@@ -9,7 +9,7 @@ import pytest
 from flowhar.cli import main
 from flowhar.attitude import G0
 from flowhar.harness import MODES
-from flowhar.model import ModelConfig, init_params, save_checkpoint
+from flowhar.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 
 from conftest import BAD_CHECKPOINTS, write_bad_checkpoint
 
@@ -43,10 +43,9 @@ def synth(out_path, label, seed, extra=()):
     return str(out_path) + ".rec"
 
 
-@pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    """A spec file plus two activities for each of two subjects."""
-    root = tmp_path_factory.mktemp("clidata")
+def write_corpus(root, act1_extra=()):
+    """A spec file plus two activities for each of two subjects; act1_extra
+    are more synth flags for activity 1."""
     spec = root / "synth.spec"
     spec.write_text(SPEC_TEXT)
     files = []
@@ -54,8 +53,24 @@ def corpus(tmp_path_factory):
         for label in (0, 1):
             out = root / f"subj{u}_act{label}"
             extra = ["--mounting-angle-deg", str(40.0 * u), "--mounting-axis", "1,1,0"]
+            if label:
+                extra += act1_extra
             files.append(synth(out, label, seed=10 * u + label, extra=extra))
     return spec, files
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    return write_corpus(tmp_path_factory.mktemp("clidata"))
+
+
+@pytest.fixture(scope="module")
+def uneven_corpus(tmp_path_factory):
+    """Like corpus, but activity 1 lasts 9 s, not 6 s.  The window count then
+    differs by class and by windowing: at --win-len 32, subject 1 has 4 + 10
+    windows at --warmup 3 --stride 16 and 4 + 7 at the defaults, so no
+    accuracy short of 0 or 1 reads the same for both."""
+    return write_corpus(tmp_path_factory.mktemp("clidata_uneven"), ["--duration", "9"])
 
 
 class TestSynth:
@@ -272,6 +287,47 @@ class TestTrainEval:
         # held-out score sits at chance in every mode.  The training subject
         # tells a trained head from an untrained one.
         assert evaluate("0") == "accuracy=1.0000 weighted_f1=1.0000"
+
+    def _train_warmup_3_stride_16(self, spec, files, ckpt, capsys):
+        """Train with windowing flags off their defaults; return the held-out
+        accuracy and F1 that train printed."""
+        code = main(["train", "--spec", str(spec), "--data", *files,
+                     "--target", "1", "--warmup", "3", "--stride", "16",
+                     "--win-len", "32", "--epochs", "2", "--batch", "8",
+                     "--checkpoint", str(ckpt)])
+        assert code == 0
+        trained = capsys.readouterr().out.splitlines()[0]
+        return tuple(part.split("=")[1] for part in trained.split(": ", 1)[1].split())
+
+    def _eval(self, spec, files, ckpt, capsys, *flags):
+        code = main(["eval", "--spec", str(spec), "--data", *files,
+                     "--checkpoint", str(ckpt), "--target", "1", *flags])
+        assert code == 0
+        return tuple(part.split("=")[1] for part in capsys.readouterr().out.split())
+
+    def test_eval_cuts_windows_as_train_did(self, uneven_corpus, tmp_path, capsys):
+        # The checkpoint records --warmup, --stride and --max-gap, so eval
+        # without them scores the windows that train scored.
+        spec, files = uneven_corpus
+        ckpt = tmp_path / "model.npz"
+        trained = self._train_warmup_3_stride_16(spec, files, ckpt, capsys)
+        assert self._eval(spec, files, ckpt, capsys) == trained
+
+    def test_eval_flags_win_and_unrecorded_windowing_takes_defaults(
+            self, uneven_corpus, tmp_path, capsys):
+        spec, files = uneven_corpus
+        ckpt, unrecorded = tmp_path / "model.npz", tmp_path / "unrecorded.npz"
+        trained = self._train_warmup_3_stride_16(spec, files, ckpt, capsys)
+        config, params, seed, mode, windowing = load_checkpoint(ckpt)
+        assert windowing == {"warmup": 3.0, "stride": 16, "max_gap": 10}
+        # A checkpoint as written before the windowing was recorded.
+        save_checkpoint(unrecorded, config, params, seed, mode)
+        defaults = self._eval(spec, files, unrecorded, capsys)
+        assert defaults != trained
+        assert self._eval(spec, files, ckpt, capsys,
+                          "--warmup", "1", "--stride", "32", "--max-gap", "10") == defaults
+        assert self._eval(spec, files, unrecorded, capsys,
+                          "--warmup", "3", "--stride", "16") == trained
 
     def test_checkpoint_without_mode_exits_1(self, corpus, tmp_path, capsys):
         spec, files = corpus

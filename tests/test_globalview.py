@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import quat_to_matrix, random_unit_quat, static_stream
+from flowhar import attitude
 from flowhar.attitude import G0, MahonyParams, mahony_run
 from flowhar.errors import DataError, InvalidInputError
 from flowhar.globalview import (
@@ -50,6 +51,19 @@ class TestRotationFromQuaternion:
         assert stack.shape == (6, 3, 3)
         for q, m in zip(quats, stack):
             assert np.array_equal(m, rotation_from_quaternion(q))
+
+    def test_one_quaternion_equals_stack_of_one(self):
+        # One quaternion and a stack of one run the same array expression.
+        # Both must equal, bit for bit, the quadratic form evaluated on
+        # Python floats, as mahony_run's loop evaluates it.
+        rng = np.random.default_rng(5)
+        quats = rng.normal(size=(1000, 4))
+        quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+        for q in quats:
+            m = rotation_from_quaternion(q)
+            assert np.array_equal(m, rotation_from_quaternion(q[None])[0])
+            on_floats = np.array(attitude._rotation_entries(*q.tolist())).reshape(3, 3)
+            assert np.array_equal(m, on_floats)
 
     def test_rejects_non_unit_row_in_stack(self):
         with pytest.raises(InvalidInputError):

@@ -224,14 +224,15 @@ class TestNoVotingHead:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        # mode None is what a file written without a mode loads as
-        for voting, n, mode in ((True, 2, "flow"), (False, 1, None)):
+        # mode and windowing None are what a file written without them loads as
+        windowing = {"warmup": 3.0, "stride": 16, "max_gap": 5}
+        for voting, n, mode, win in ((True, 2, "flow", windowing), (False, 1, None, None)):
             cfg = tiny_config(n=n, dtype="float32", voting=voting)
             params = init_params(cfg, seed=11)
             path = tmp_path / f"model_{voting}.npz"
-            save_checkpoint(path, cfg, params, seed=11, mode=mode)
-            cfg2, params2, seed2, mode2 = load_checkpoint(path)
-            assert cfg2 == cfg and seed2 == 11 and mode2 == mode
+            save_checkpoint(path, cfg, params, seed=11, mode=mode, windowing=win)
+            cfg2, params2, seed2, mode2, win2 = load_checkpoint(path)
+            assert cfg2 == cfg and seed2 == 11 and mode2 == mode and win2 == win
             assert set(params2) == set(params)
             for name in params:
                 assert np.array_equal(params[name].data, params2[name].data)
