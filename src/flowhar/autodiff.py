@@ -6,9 +6,14 @@ whole LSTM layer as one op with its backprop through time written out,
 softmax, and a fused softmax cross-entropy.  sigmoid, tanh and sum stay as
 building blocks: tests/test_lstm.py builds its per-step reference LSTM graph
 from them, and the finite-difference checks reduce their outputs with sum.
-Graphs are built eagerly; backward() runs a topological sweep.  An op whose
-inputs need no gradient records no graph, so a forward pass on detached
-parameters is plain NumPy plus one Tensor per op.
+Graphs are built eagerly; backward() runs a topological sweep.
+
+Every op is a forward value plus a vector-Jacobian product: `vjp(g, need)`
+returns one gradient per input, None where `need` flags that input as
+needing none.  `_node` alone sets the flags, records the flagged inputs and
+adds their gradients to `.grad`.  An op whose inputs need no gradient
+records no graph, so a forward pass on detached parameters is plain NumPy
+plus one Tensor per op.
 """
 
 from __future__ import annotations
@@ -91,27 +96,19 @@ class Tensor:
 
     def __add__(self, other):
         other = _as_tensor(other, self.dtype)
-        out = _node(self.data + other.data, (self, other))
-        if out._parents:
-            def backward(g):
-                if self.requires_grad or self._parents:
-                    self._accumulate(_unbroadcast(g, self.data.shape))
-                if other.requires_grad or other._parents:
-                    other._accumulate(_unbroadcast(g, other.data.shape))
-            out._backward = backward
-        return out
+
+        def vjp(g, need):
+            return (_unbroadcast(g, self.data.shape) if need[0] else None,
+                    _unbroadcast(g, other.data.shape) if need[1] else None)
+        return _node(self.data + other.data, (self, other), vjp)
 
     def __mul__(self, other):
         other = _as_tensor(other, self.dtype)
-        out = _node(self.data * other.data, (self, other))
-        if out._parents:
-            def backward(g):
-                if self.requires_grad or self._parents:
-                    self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-                if other.requires_grad or other._parents:
-                    other._accumulate(_unbroadcast(g * self.data, other.data.shape))
-            out._backward = backward
-        return out
+
+        def vjp(g, need):
+            return (_unbroadcast(g * other.data, self.data.shape) if need[0] else None,
+                    _unbroadcast(g * self.data, other.data.shape) if need[1] else None)
+        return _node(self.data * other.data, (self, other), vjp)
 
     def __neg__(self):
         return self * (-1.0)
@@ -122,15 +119,10 @@ class Tensor:
     # -- linear algebra ----------------------------------------------------
 
     def matmul(self, other):
-        out = _node(self.data @ other.data, (self, other))
-        if out._parents:
-            def backward(g):
-                if self.requires_grad or self._parents:
-                    self._accumulate(g @ other.data.T)
-                if other.requires_grad or other._parents:
-                    other._accumulate(self.data.T @ g)
-            out._backward = backward
-        return out
+        def vjp(g, need):
+            return (g @ other.data.T if need[0] else None,
+                    self.data.T @ g if need[1] else None)
+        return _node(self.data @ other.data, (self, other), vjp)
 
     __matmul__ = matmul
 
@@ -138,33 +130,21 @@ class Tensor:
 
     def relu(self):
         mask = self.data > 0
-        out = _node(self.data * mask, (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(g * mask)
-        return out
+        return _node(self.data * mask, (self,), lambda g, need: (g * mask,))
 
     def sigmoid(self):
         y = _sigmoid(self.data)
-        out = _node(y, (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(g * y * (1.0 - y))
-        return out
+        return _node(y, (self,), lambda g, need: (g * y * (1.0 - y),))
 
     def tanh(self):
         y = np.tanh(self.data)
-        out = _node(y, (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(g * (1.0 - y * y))
-        return out
+        return _node(y, (self,), lambda g, need: (g * (1.0 - y * y),))
 
     # -- shape ops ---------------------------------------------------------
 
     def reshape(self, *shape):
         old = self.data.shape
-        out = _node(self.data.reshape(*shape), (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(g.reshape(old))
-        return out
+        return _node(self.data.reshape(*shape), (self,), lambda g, need: (g.reshape(old),))
 
     def __getitem__(self, key):
         # Basic keys only: they never select an element twice, so the
@@ -173,20 +153,16 @@ class Tensor:
             if not _basic_index(part):
                 raise InvalidInputError(
                     f"Tensor index must be ints, slices, Ellipsis or None, not {part!r}")
-        out = _node(self.data[key], (self,))
-        if out._parents:
-            def backward(g):
-                full = np.zeros_like(self.data)
-                full[key] += g
-                self._accumulate(full)
-            out._backward = backward
-        return out
+
+        def vjp(g, need):
+            full = np.zeros_like(self.data)
+            full[key] += g
+            return (full,)
+        return _node(self.data[key], (self,), vjp)
 
     def sum(self):
-        out = _node(self.data.sum(), (self,))
-        if out._parents:
-            out._backward = lambda g: self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-        return out
+        return _node(self.data.sum(), (self,),
+                     lambda g, need: (np.broadcast_to(g, self.data.shape),))
 
 
 def _basic_index(part):
@@ -196,12 +172,25 @@ def _basic_index(part):
 
 
 def _needs_graph(t):
-    return t.requires_grad or t._parents
+    return bool(t.requires_grad or t._parents)
 
 
-def _node(data, parents):
+def _node(data, parents, vjp):
+    """Wrap an op's output and wire it into the graph.  The one place that
+    decides, at forward time, which inputs need a gradient: those that
+    require one or have parents.  If none does, the output has no graph;
+    otherwise it records them, and its backward adds `vjp(g, need)[i]` to
+    each needed input's `.grad`."""
     out = Tensor(data)
-    out._parents = tuple(p for p in parents if _needs_graph(p))
+    need = tuple(_needs_graph(p) for p in parents)
+    if any(need):
+        out._parents = tuple(p for p, n in zip(parents, need) if n)
+
+        def backward(g):
+            for p, n, grad in zip(parents, need, vjp(g, need)):
+                if n:
+                    p._accumulate(grad)
+        out._backward = backward
     return out
 
 
@@ -215,13 +204,11 @@ def softmax(t, axis=-1):
     z = t.data - t.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = _node(y, (t,))
-    if out._parents:
-        def backward(g):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            t._accumulate(y * (g - dot))
-        out._backward = backward
-    return out
+
+    def vjp(g, need):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        return (y * (g - dot),)
+    return _node(y, (t,), vjp)
 
 
 def softmax_cross_entropy(logits, labels):
@@ -240,14 +227,12 @@ def softmax_cross_entropy(logits, labels):
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
     nll = -(z[np.arange(b), labels] - np.log(e.sum(axis=1)))
-    out = _node(np.asarray(nll.mean(), dtype=logits.dtype), (logits,))
-    if out._parents:
-        def backward(g):
-            grad = p.copy()
-            grad[np.arange(b), labels] -= 1.0
-            logits._accumulate(g * grad / b)
-        out._backward = backward
-    return out
+
+    def vjp(g, need):
+        grad = p.copy()
+        grad[np.arange(b), labels] -= 1.0
+        return (g * grad / b,)
+    return _node(np.asarray(nll.mean(), dtype=logits.dtype), (logits,), vjp)
 
 
 def conv1d(x, w, b):
@@ -265,23 +250,20 @@ def conv1d(x, w, b):
     # cols: (batch, t_out, c_in, kernel) -> (batch, t_out, kernel * c_in)
     cols = cols.transpose(0, 1, 3, 2).reshape(batch, t_out, kernel * c_in)
     w2 = w.data.reshape(kernel * c_in, c_out)
-    out = _node(cols @ w2 + b.data, (x, w, b))
-    if out._parents:
-        def backward(g):
-            if _needs_graph(b):
-                b._accumulate(g.sum(axis=(0, 1)))
-            g2 = g.reshape(batch * t_out, c_out)
-            if _needs_graph(w):
-                cols2 = cols.reshape(batch * t_out, kernel * c_in)
-                w._accumulate((cols2.T @ g2).reshape(kernel, c_in, c_out))
-            if _needs_graph(x):
-                gcols = (g2 @ w2.T).reshape(batch, t_out, kernel, c_in)
-                gx = np.zeros_like(x.data)
-                for kk in range(kernel):
-                    gx[:, kk:kk + t_out, :] += gcols[:, :, kk, :]
-                x._accumulate(gx)
-        out._backward = backward
-    return out
+
+    def vjp(g, need):
+        g2 = g.reshape(batch * t_out, c_out)
+        gx = gw = None
+        if need[0]:  # the col2im scatter; the first layer's data skips it
+            gcols = (g2 @ w2.T).reshape(batch, t_out, kernel, c_in)
+            gx = np.zeros_like(x.data)
+            for kk in range(kernel):
+                gx[:, kk:kk + t_out, :] += gcols[:, :, kk, :]
+        if need[1]:
+            cols2 = cols.reshape(batch * t_out, kernel * c_in)
+            gw = (cols2.T @ g2).reshape(kernel, c_in, c_out)
+        return gx, gw, g.sum(axis=(0, 1)) if need[2] else None
+    return _node(cols @ w2 + b.data, (x, w, b), vjp)
 
 
 def lstm(x, wx, wh, b):
@@ -294,7 +276,8 @@ def lstm(x, wx, wh, b):
 
     Each step computes z = x_t @ wx + h @ wh + b, then the gates, c and h,
     with the same arithmetic in the same order as a graph of per-step
-    elementwise ops, so values and gradients equal that graph's bit for bit.
+    elementwise ops, so values and gradients equal that graph's bit for bit
+    when each weight feeds this one op, as every weight of the network does.
     A step makes 15 NumPy calls: one sigmoid runs over all four gates'
     pre-activations, the cell gate's share is then overwritten by its tanh,
     and the states are updated in place.  Few calls matter because each
@@ -305,8 +288,13 @@ def lstm(x, wx, wh, b):
     When an input needs a gradient, step k writes its gates, cell state and
     tanh(c) into slot k of buffers that span the sequence; otherwise every
     step reuses one slot.  The backward pass is backprop through time from
-    the last step to the first, reading those slots; wx, wh and b take one
-    step's gradient at a time, in that order.
+    the last step to the first, reading those slots.  The gradients of wx,
+    wh and b start from zero and take one step's term at a time, in that
+    order, as the per-step graph adds them into `.grad`; `_node` then adds
+    each sum once.  Onto a `.grad` that is still None that add is exact, and
+    a sum started from +0.0 is never -0.0, so the bits are the per-step
+    graph's.  A weight shared by two `lstm` ops receives one sum per op, and
+    may differ from the per-step graph's interleaved sum by rounding.
     """
     xd, wxd, whd, bd = x.data, wx.data, wh.data, b.data
     record = any(_needs_graph(t) for t in (x, wx, wh, b))
@@ -349,37 +337,35 @@ def lstm(x, wx, wh, b):
             np.tanh(c, out=tc)
             np.multiply(o, tc, out=h)
             hs[:, step, :] = h
-    out = _node(hs, (x, wx, wh, b))
-    if out._parents:
-        def backward(gout):
-            dx = np.empty_like(xd) if _needs_graph(x) else None
-            dh_rec = dc_rec = None
-            for step in range(steps - 1, -1, -1):
-                i, f, g, o = gates[step]
-                c_prev, tc = cs[step], tcs[step]
-                h_prev = hs[:, step - 1, :] if step else np.zeros_like(h)
-                dh = gout[:, step, :]
-                if dh_rec is not None:
-                    dh = dh + dh_rec
-                dc = (dh * o) * (1.0 - tc * tc)
-                if dc_rec is not None:
-                    dc = dc + dc_rec
-                dz = np.empty((batch, 4 * hidden), dtype=dc.dtype)
-                dz[:, 0:s1] = (dc * g) * i * (1.0 - i)
-                dz[:, s1:s2] = (dc * c_prev) * f * (1.0 - f)
-                dz[:, s2:s3] = (dc * i) * (1.0 - g * g)
-                dz[:, s3:] = (dh * tc) * o * (1.0 - o)
-                dh_rec = dz @ whd.T
-                dc_rec = dc * f
-                if dx is not None:
-                    dx[:, step, :] = dz @ wxd.T
-                if _needs_graph(wx):
-                    wx._accumulate(xd[:, step, :].T @ dz)
-                if _needs_graph(wh):
-                    wh._accumulate(h_prev.T @ dz)
-                if _needs_graph(b):
-                    b._accumulate(dz.sum(axis=0))
+
+    def vjp(gout, need):
+        dx = np.empty_like(xd) if need[0] else None
+        dwx, dwh, db = (np.zeros_like(a) if n else None for a, n in zip((wxd, whd, bd), need[1:]))
+        dh_rec = dc_rec = None
+        for step in range(steps - 1, -1, -1):
+            i, f, g, o = gates[step]
+            c_prev, tc = cs[step], tcs[step]
+            h_prev = hs[:, step - 1, :] if step else np.zeros_like(h)
+            dh = gout[:, step, :]
+            if dh_rec is not None:
+                dh = dh + dh_rec
+            dc = (dh * o) * (1.0 - tc * tc)
+            if dc_rec is not None:
+                dc = dc + dc_rec
+            dz = np.empty((batch, 4 * hidden), dtype=dc.dtype)
+            dz[:, 0:s1] = (dc * g) * i * (1.0 - i)
+            dz[:, s1:s2] = (dc * c_prev) * f * (1.0 - f)
+            dz[:, s2:s3] = (dc * i) * (1.0 - g * g)
+            dz[:, s3:] = (dh * tc) * o * (1.0 - o)
+            dh_rec = dz @ whd.T
+            dc_rec = dc * f
             if dx is not None:
-                x._accumulate(dx)
-        out._backward = backward
-    return out
+                dx[:, step, :] = dz @ wxd.T
+            if dwx is not None:
+                dwx += xd[:, step, :].T @ dz
+            if dwh is not None:
+                dwh += h_prev.T @ dz
+            if db is not None:
+                db += dz.sum(axis=0)
+        return dx, dwx, dwh, db
+    return _node(hs, (x, wx, wh, b), vjp)

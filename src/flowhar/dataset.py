@@ -413,10 +413,18 @@ def build_windows(recordings, mode, win_len, stride, label_map, mahony_params=No
 
     M&C runs on each full continuous recording before windowing, so windows
     never straddle recording boundaries.  The windows of one recording are
-    views into its one channel matrix, which they keep alive.
+    views into its one channel matrix, which they keep alive.  Every
+    recording must list the first one's sensors in the same order, since
+    each sensor's channels sit at a fixed offset in every window.
     """
     windows = []
     for rec in recordings:
+        names, first = list(rec.sensors), list(recordings[0].sensors)
+        if names != first:
+            raise InvalidInputError(
+                f"subject {rec.subject_id!r} has sensors {names}, but subject "
+                f"{recordings[0].subject_id!r} has {first}; every recording needs "
+                "the same sensors in the same order")
         matrix, labels, valid = assemble_channels(rec, mode, mahony_params)
         windows.extend(
             segment_windows(matrix, labels, valid, rec.subject_id, win_len, stride, label_map)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_grad, max_rel_err
-from flowhar.autodiff import Tensor, conv1d, softmax, softmax_cross_entropy
+from flowhar.autodiff import Tensor, conv1d, lstm, softmax, softmax_cross_entropy
 from flowhar.errors import InvalidInputError
 
 TOL = 1e-6
@@ -219,3 +219,39 @@ class TestGraphMechanics:
         a = Tensor(np.ones(3))
         b = Tensor(np.ones(3))
         assert (a + b)._parents == ()
+
+
+class TestMixedInputs:
+    """An input that needs no gradient gets none, and every input that needs
+    one gets, bit for bit, what it gets when all inputs are trainable."""
+
+    @staticmethod
+    def _grads(op, arrays, trainable):
+        inputs = [Tensor(a.copy(), requires_grad=k in trainable) for k, a in enumerate(arrays)]
+        out = op(*inputs)
+        weight = np.random.default_rng(30).normal(size=out.shape).astype(out.dtype)
+        (out * Tensor(weight)).sum().backward()
+        return [t.grad for t in inputs]
+
+    @pytest.mark.parametrize("op, shapes, constant", [
+        (lambda a, b: a + b, [(3, 4), (4,)], 0),
+        (lambda a, b: a + b, [(3, 4), (4,)], 1),
+        (lambda a, b: a * b, [(3, 4), (4,)], 0),
+        (lambda a, b: a * b, [(3, 4), (4,)], 1),
+        (lambda a, b: a @ b, [(3, 4), (4, 2)], 0),
+        (lambda a, b: a @ b, [(3, 4), (4, 2)], 1),
+        (conv1d, [(2, 7, 3), (3, 3, 5), (5,)], 0),
+        (lstm, [(2, 5, 3), (3, 8), (2, 8), (8,)], 0),
+    ], ids=["add_const_left", "add_const_right", "mul_const_left", "mul_const_right",
+            "matmul_const_left", "matmul_const_right", "conv1d_const_x", "lstm_const_x"])
+    def test_constant_input_gets_no_gradient(self, op, shapes, constant):
+        rng = np.random.default_rng(31)
+        arrays = [rng.normal(size=shape).astype(np.float32) for shape in shapes]
+        every = range(len(arrays))
+        full = self._grads(op, arrays, every)
+        mixed = self._grads(op, arrays, [k for k in every if k != constant])
+        assert mixed[constant] is None
+        for k in every:
+            if k != constant:
+                assert mixed[k].dtype == full[k].dtype
+                assert mixed[k].tobytes() == full[k].tobytes()

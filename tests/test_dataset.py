@@ -787,6 +787,29 @@ class TestBuildWindows:
         assert {w.subject_id for w in windows} == {"1", "2"}
         assert all(w.data.shape == (64, 13) for w in windows)
 
+    @pytest.mark.parametrize("second", [("chest", "hand"), ("hand",), ("hand", "ankle")],
+                             ids=["swapped", "missing", "other"])
+    def test_rejects_sensors_that_differ(self, second):
+        # Swapped sensors would give windows whose channel blocks are
+        # silently exchanged between subjects; other sets would not stack.
+        from conftest import static_stream
+
+        series = static_stream(np.array([1.0, 0, 0, 0]), 100)
+        recs = [
+            Recording(
+                subject_id=subject,
+                sensors={name: series.copy() for name in names},
+                labels=np.zeros(100, dtype=int),
+                valid=np.ones(100, dtype=bool),
+                sample_rate_hz=30.0,
+            )
+            for subject, names in (("u0", ("hand", "chest")), ("u1", second))
+        ]
+        with pytest.raises(InvalidInputError, match=r"'u1'.*'u0'") as info:
+            build_windows(recs, "local", 64, 32, {0: 0})
+        assert str(list(second)) in str(info.value)
+        assert str(["hand", "chest"]) in str(info.value)
+
     def test_memory_does_not_grow_with_overlap(self):
         # Windows are views into their recording's one channel matrix, so
         # four times as many of them hold little more memory.  Local mode
