@@ -58,7 +58,7 @@ def _config_argv(path):
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except ParseError as exc:
-        raise ConfigError(f"{path} line {exc.line_no}: {exc}") from exc
+        raise ConfigError(exc.at(path)) from exc
     argv = []
     for line_no, key, value in entries:
         option = "--" + key.replace("_", "-")
@@ -115,9 +115,10 @@ def cmd_transform(args):
         )
         for rec in recordings:
             matrix, labels, _ = ds.assemble_channels(rec, "concat", params)
-            for label, values in zip(labels, matrix):
-                row = [rec.subject_id, str(label), *(f"{v:.9g}" for v in values)]
-                fh.write(" ".join(row) + "\n")
+            # float64 holds the labels exactly, as they were parsed from it;
+            # a subject id taken from a file name may hold a "%".
+            np.savetxt(fh, np.column_stack([labels, matrix]),
+                       fmt=[rec.subject_id.replace("%", "%%") + " %d"] + ["%.9g"] * matrix.shape[1])
     print(f"wrote {args.output}")
     return 0
 
@@ -150,17 +151,11 @@ def cmd_synth(args):
         label=args.label,
     )
     rec, truth = synth_generate(spec, args.seed)
-    data = rec.sensors["imu0"]
     rec_path = args.output + ".rec"
     truth_path = args.output + ".truth"
-    with open(rec_path, "w") as fh:
-        fh.write("# columns: label ax ay az mx my mz gx gy gz\n")
-        for i in range(rec.length):
-            fh.write(f"{rec.labels[i]} " + " ".join(f"{v:.9g}" for v in data[i]) + "\n")
-    with open(truth_path, "w") as fh:
-        fh.write("# columns: qw qx qy qz\n")
-        for q in truth:
-            fh.write(" ".join(f"{v:.12g}" for v in q) + "\n")
+    np.savetxt(rec_path, rec.sensors["imu0"], fmt=f"{spec.label}" + " %.9g" * 9,
+               header="columns: label ax ay az mx my mz gx gy gz")
+    np.savetxt(truth_path, truth, fmt="%.12g", header="columns: qw qx qy qz")
     print(f"wrote {rec_path} and {truth_path}")
     return 0
 

@@ -117,19 +117,33 @@ class Window:
     subject_id: str
 
 
-def read_key_values(path):
-    """[(line_no, key, value)] of a file of `key = value` lines, stripped;
-    '#' starts a comment.  A line without '=' raises ParseError."""
-    entries = []
-    with open(path) as fh:
+def _first_non_utf8_line(path):
+    """The 1-based number of the first line of path that is not UTF-8."""
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise ParseError(f"expected key = value, got {line!r}", line_no)
-            entries.append((line_no, key.strip(), value.strip()))
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+
+
+def read_key_values(path):
+    """[(line_no, key, value)] of a UTF-8 file of `key = value` lines,
+    stripped; '#' starts a comment.  A line without '=' or one that is not
+    UTF-8 raises ParseError."""
+    entries = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                key, eq, value = line.partition("=")
+                if not eq:
+                    raise ParseError(f"expected key = value, got {line!r}", line_no)
+                entries.append((line_no, key.strip(), value.strip()))
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8 text", _first_non_utf8_line(path)) from exc
     return entries
 
 
@@ -141,18 +155,39 @@ def _number(convert, value, line_no):
         raise ParseError(f"expected {convert.__name__}, got {value!r}", line_no) from exc
 
 
+_SPEC_KEYS = ("name", "native_rate_hz", "decimate", "gyro_unit", "label_col", "subject",
+              "num_classes")
+
+
 def parse_spec_file(path):
     """Read a DatasetSpec from a key=value file (see read_key_values).
 
     Recognized keys: name, native_rate_hz, decimate, gyro_unit, label_col,
     subject, num_classes, sensor.<name> (three comma lists separated by ';'
-    in accel;mag;gyro order) and label.<raw> = <class index>.
+    in accel;mag;gyro order) and label.<raw> = <class index>.  Any other
+    key, or one given twice, raises ParseError.  A ParseError's message
+    starts with the file and, when it has one, the line.
     """
+    try:
+        return _parse_spec(read_key_values(path))
+    except ParseError as exc:
+        raise ParseError(exc.at(path), exc.line_no) from exc
+
+
+def _parse_spec(entries):
     sensors = {}
     label_map = {}
     kv = {}
     line_of = {}
-    for line_no, key, value in read_key_values(path):
+    for line_no, key, value in entries:
+        if key.startswith("label."):
+            raw = _number(int, key[len("label."):], line_no)
+            key = f"label.{raw}"  # label.01 is label.1
+        elif not key.startswith("sensor.") and key not in _SPEC_KEYS:
+            raise ParseError(f"unknown key {key!r}", line_no)
+        if key in line_of:
+            raise ParseError(f"{key!r} repeats line {line_of[key]}", line_no)
+        line_of[key] = line_no
         if key.startswith("sensor."):
             parts = value.split(";")
             if len(parts) != 3:
@@ -165,11 +200,9 @@ def parse_spec_file(path):
                 triplets.append(ix)
             sensors[key[len("sensor."):]] = SensorColumns(*triplets)
         elif key.startswith("label."):
-            raw = _number(int, key[len("label."):], line_no)
             label_map[raw] = _number(int, value, line_no)
         else:
             kv[key] = value
-            line_of[key] = line_no
 
     def number(key, convert, default=None):
         if key in kv:
@@ -194,7 +227,7 @@ def parse_spec_file(path):
 def _parse_rows(path):
     """Numeric rows of a recording file, each as wide as the first."""
     rows = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -219,9 +252,15 @@ def _read_table(path):
     NumPy's reader parses the data lines.  When it refuses them, _parse_rows
     reads the file again: it raises the ParseError with the file's line
     number, or parses forms that float() takes and NumPy does not (1_000).
+    A file that is not UTF-8 raises ParseError naming its first such line.
     """
-    with open(path) as fh:
-        lines = [s.replace(",", " ") for s in map(str.strip, fh) if s and not s.startswith("#")]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [s.replace(",", " ") for s in map(str.strip, fh)
+                     if s and not s.startswith("#")]
+    except UnicodeDecodeError as exc:
+        line_no = _first_non_utf8_line(path)
+        raise ParseError(f"{path} line {line_no}: not UTF-8 text", line_no) from exc
     # loadtxt would skip a line of only commas, where _parse_rows reads a row
     # of no fields, and it warns when it gets no lines at all.
     if lines and not any(map(str.isspace, lines)):

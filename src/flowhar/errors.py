@@ -28,3 +28,7 @@ class ParseError(DataError):
     def __init__(self, message, line_no=None):
         super().__init__(message)
         self.line_no = line_no
+
+    def at(self, path):
+        """The message after path and, when the line is known, its number."""
+        return f"{path} line {self.line_no}: {self}" if self.line_no else f"{path}: {self}"

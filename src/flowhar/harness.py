@@ -19,7 +19,7 @@ import numpy as np
 
 from .attitude import MahonyParams
 from .dataset import build_windows
-from .errors import ConfigError, FlowError, InvalidInputError
+from .errors import ConfigError, DataError, FlowError, InvalidInputError
 from .metrics import accuracy, weighted_f1
 from .model import ModelConfig, init_params, require_integers
 from .trainer import TrainConfig, TrainLog, fit, stack_windows, usable_cpus
@@ -426,4 +426,10 @@ def emit_report(report, out_dir):
 
 
 def load_summary(out_dir):
-    return json.loads((pathlib.Path(out_dir) / "summary.json").read_text())
+    """The summary.json that emit_report wrote to out_dir; DataError when it
+    is not UTF-8 JSON."""
+    path = pathlib.Path(out_dir) / "summary.json"
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise DataError(f"{path} is not a JSON summary: {exc}") from exc

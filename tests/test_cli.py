@@ -1,11 +1,13 @@
 """End-to-end command line tests driven through flowhar.cli.main."""
 
 import pathlib
+import re
 import shlex
 
 import numpy as np
 import pytest
 
+from flowhar import cli, dataset
 from flowhar.cli import main
 from flowhar.attitude import G0
 from flowhar.harness import MODES
@@ -156,13 +158,17 @@ class TestTransform:
 
     @pytest.mark.parametrize("line", ["label_col = x", "native_rate_hz = fast", "decimate = two"])
     def test_non_numeric_spec_value_exits_2(self, tmp_path, capsys, line):
+        # The line replaces the key's own line: a second one would be a repeat.
+        key = line.split(" = ")[0]
+        text = re.sub(rf"^{key} = .*$", line, SPEC_TEXT, count=1, flags=re.M)
+        line_no = text.splitlines().index(line) + 1
         spec = tmp_path / "synth.spec"
-        spec.write_text(SPEC_TEXT + line + "\n")
+        spec.write_text(text)
         rec = synth(tmp_path / "subj0_static", label=0, seed=0)
         code = main(["transform", "--spec", str(spec), "--input", rec,
                      "--output", str(tmp_path / "out.txt")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("data error: ")
+        assert capsys.readouterr().err.startswith(f"data error: {spec} line {line_no}: expected ")
 
     def test_huge_warmup_exits_1(self, tmp_path, capsys):
         # warmup times the rate overflows to inf, whose ceil() has no int.
@@ -237,6 +243,81 @@ class TestTransform:
         assert code == 2
         assert err.startswith(f"data error: {bad} line 3: ")
         assert files[0] not in err and files[2] not in err
+
+
+def spy(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's arguments and
+    result, as (args, result), in the list it returns."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestWriterBytes:
+    """transform and synth write the bytes that their first writers, one
+    f-string per value in a loop over rows, wrote for the same arrays."""
+
+    @pytest.mark.parametrize("subject", ["col", "filename"])
+    def test_transform(self, tmp_path, monkeypatch, subject):
+        spec = tmp_path / "synth.spec"
+        if subject == "col":
+            spec.write_text(SPEC_TEXT.replace("filename:subj(\\d+)", "col:10"))
+            rng = np.random.default_rng(5)
+            rows = np.zeros((240, 11))
+            rows[:, 0] = np.repeat([-3, 1, 123456789012], 80)
+            rows[:, 1:10] = [0, 0, -9.8, 0.5, 0, 0.8, 0, 0, 0] + rng.normal(0, 0.05, (240, 9))
+            rows[:, 10] = np.repeat([5, 6, 5], [100, 70, 70])  # two subjects, three runs
+            rows[40:43, 2] = np.nan
+            rec = tmp_path / "runs.rec"
+            rec.write_text("".join(" ".join(map(repr, row.tolist())) + "\n" for row in rows))
+        else:
+            spec.write_text(SPEC_TEXT.replace("filename:subj(\\d+)", "filename:subj(\\d+%x)"))
+            rec = synth(tmp_path / "subj7%x", label=1, seed=3)
+        calls = spy(monkeypatch, dataset, "assemble_channels")
+        out = tmp_path / "out.txt"
+        assert main(["transform", "--spec", str(spec), "--input", str(rec),
+                     "--output", str(out)]) == 0
+
+        first = calls[0][0][0]
+        expected = (
+            "# columns: subject label"
+            + "".join(
+                f" {name}:[ax ay az mx my mz gx gy gz"
+                " a'x a'y a'z m'x m'y m'z g'x g'y g'z qw qx qy qz]"
+                for name in first.sensors
+            )
+            + "\n"
+        )
+        for (rec, *_), (matrix, labels, _) in calls:
+            for label, values in zip(labels, matrix):
+                row = [rec.subject_id, str(label), *(f"{v:.9g}" for v in values)]
+                expected += " ".join(row) + "\n"
+        subjects = [rec.subject_id for (rec, *_), _ in calls]
+        assert subjects == (["5", "6", "5"] if subject == "col" else ["7%x"])
+        assert out.read_bytes() == expected.encode()
+
+    def test_synth(self, tmp_path, monkeypatch):
+        calls = spy(monkeypatch, cli, "synth_generate")
+        out = tmp_path / "big"
+        synth(out, label=2**63 - 1, seed=4,
+              extra=["--duration", "2", "--mounting-angle-deg", "33", "--mounting-axis", "1,2,3"])
+        _, (rec, truth) = calls[0]
+        data = rec.sensors["imu0"]
+        expected_rec = "# columns: label ax ay az mx my mz gx gy gz\n"
+        for i in range(rec.length):
+            expected_rec += f"{rec.labels[i]} " + " ".join(f"{v:.9g}" for v in data[i]) + "\n"
+        expected_truth = "# columns: qw qx qy qz\n"
+        for q in truth:
+            expected_truth += " ".join(f"{v:.12g}" for v in q) + "\n"
+        assert expected_rec.splitlines()[1].startswith(f"{2**63 - 1} ")
+        assert out.with_suffix(".rec").read_bytes() == expected_rec.encode()
+        assert out.with_suffix(".truth").read_bytes() == expected_truth.encode()
 
 
 class TestTrainEval:
@@ -381,6 +462,15 @@ class TestLouoReport:
         assert code == 0
         assert '"average_accuracy"' in printed
 
+    @pytest.mark.parametrize("content", [b'{"average_accuracy": ', b'{"caf\xe9": 1}'],
+                             ids=["not_json", "not_utf8"])
+    def test_report_on_a_broken_summary_exits_2(self, tmp_path, capsys, content):
+        summary = tmp_path / "summary.json"
+        summary.write_bytes(content)
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: {summary} is not a JSON summary: ")
+
     def test_output_dir_env_override(self, corpus, tmp_path, capsys, monkeypatch):
         spec, files = corpus
         env_dir = tmp_path / "env_out"
@@ -442,6 +532,28 @@ class TestBadInput:
         assert main(self._argv(command, spec, files, ckpt)) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and f"'{bad}'" in err
+
+    @pytest.mark.parametrize("which, error, code", [
+        ("spec", "data", 2), ("data", "data", 2), ("config", "config", 1),
+    ])
+    def test_file_that_is_not_utf8_exits_with_its_code(self, corpus, tmp_path, capsys,
+                                                       which, error, code):
+        spec, files = corpus
+        cfg = tmp_path / "louo.cfg"
+        cfg.write_text("epochs = 1\n")
+        good = {"spec": spec, "data": files[1], "config": cfg}[which]
+        lines = pathlib.Path(good).read_bytes().splitlines(keepends=True)
+        lines.insert(1, b"# caf\xe9\n")  # Latin-1, not UTF-8
+        bad = tmp_path / f"subj9_{which}.bad"
+        bad.write_bytes(b"".join(lines))
+        if which == "spec":
+            spec = bad
+        elif which == "data":
+            files = [*files, str(bad)]
+        else:
+            cfg = bad
+        assert main([*self._argv("louo", spec, files), "--config", str(cfg)]) == code
+        assert capsys.readouterr().err == f"{error} error: {bad} line 2: not UTF-8 text\n"
 
     def test_config_without_value_exits_1(self, corpus, capsys):
         spec, files = corpus

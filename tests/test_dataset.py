@@ -201,6 +201,39 @@ class TestParseSpecFile:
         lines = enumerate(text.splitlines(), start=1)
         assert exc.value.line_no == next(n for n, line in lines if line.startswith(new))
 
+    @pytest.mark.parametrize("line", [
+        "decimat = 3", "gyro_units = rad/s", "sensors.wrist = 11,12,13; 14,15,16; 17,18,19",
+    ], ids=["decimat", "gyro_units", "sensors.wrist"])
+    def test_unknown_key_reports_key_and_line(self, tmp_path, line):
+        key = line.split(" = ")[0]
+        text = SPEC_TEXT + line + "\n"
+        path = write_spec(tmp_path, text)
+        with pytest.raises(ParseError) as exc:
+            parse_spec_file(path)
+        line_no = len(text.splitlines())
+        assert exc.value.line_no == line_no
+        assert str(exc.value) == f"{path} line {line_no}: unknown key {key!r}"
+
+    @pytest.mark.parametrize("first, line", [
+        ("name = tiny", "name = other"),
+        ("decimate = 1", "decimate = 3"),
+        ("sensor.imu = ", "sensor.imu = 11,12,13; 14,15,16; 17,18,19"),
+        ("label.10 = 0", "label.10 = 1"),
+        ("label.10 = 0", "label.010 = 0"),  # the same raw label
+    ], ids=["name", "decimate", "sensor", "label", "label_with_leading_zero"])
+    def test_repeated_key_reports_both_lines(self, tmp_path, first, line):
+        text = SPEC_TEXT + line + "\n"
+        path = write_spec(tmp_path, text)
+        with pytest.raises(ParseError) as exc:
+            parse_spec_file(path)
+        lines = text.splitlines()
+        first_no = next(n for n, text_line in enumerate(lines, start=1)
+                        if text_line.startswith(first))
+        assert exc.value.line_no == len(lines)
+        message = str(exc.value)
+        assert message.startswith(f"{path} line {len(lines)}: ")
+        assert message.endswith(f" repeats line {first_no}")
+
     def test_shipped_specs_parse(self):
         import importlib.resources as res
 
